@@ -16,7 +16,6 @@ the degeneracy of the critical and supercritical regimes.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,18 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import EventLog, StopRule, simulate, state_at, window_integrals
-from .foster import (  # noqa: F401  (drift analysis lives in its own module)
-    ConstraintReport,
-    estimate_drift,
-    foster_params,
-    return_times,
-    validate_foster,
-)
-from .foster_config import FosterConfig  # noqa: F401
-from .model import ModelParams, State, z_cz_metadata, z_mean
+from .chain import EARLY_STOPS, EventLog, StopRule, simulate, state_at, window_integrals
+from .model import ModelParams, Regime, State, regime, z_cz_metadata, z_mean
 from .sampler import sample_primary_times, sample_secondary_times
-from .stats import batch_se, ks_critical_value, ks_two_sample, one_sided_band
+from .stats import batch_se, dominance_violation, ks_critical_value, ks_two_sample, one_sided_band
 
 __all__ = [
     "Regime",
@@ -56,31 +47,12 @@ __all__ = [
     "supercritical_probe",
 ]
 
-_CRITICAL_EPS = 1e-12
-
-
-class Regime(enum.Enum):
-    SUBCRITICAL = "subcritical"
-    CRITICAL = "critical"
-    SUPERCRITICAL = "supercritical"
-
-
 class RegimeError(ValueError):
     """Raised when an operation requires a regime the parameters are not in."""
 
 
 class InsufficientDataError(ValueError):
     """Raised when a log carries too little data for the requested estimate."""
-
-
-def regime(params: ModelParams, eps: float = _CRITICAL_EPS) -> Regime:
-    """Classify k/alpha against 1 with tolerance eps."""
-    ratio = params.k / params.alpha
-    if ratio < 1.0 - eps:
-        return Regime.SUBCRITICAL
-    if abs(ratio - 1.0) <= eps:
-        return Regime.CRITICAL
-    return Regime.SUPERCRITICAL
 
 
 def theoretical_rate(params: ModelParams) -> float:
@@ -340,8 +312,6 @@ def dominance_test(
         raise ValueError(f"family must be one of {_DOMINANCE_FAMILIES}, got {family!r}")
     if not param_low < param_high:
         raise ValueError("need param_low < param_high")
-    from .stats import dominance_violation
-
     if family == "secondary":
         hi = sample_secondary_times(param_low, params.alpha, rng, n)
         lo = sample_secondary_times(param_high, params.alpha, rng, n)
@@ -399,8 +369,9 @@ def lemma_l2_check(
 @dataclass(frozen=True)
 class GrowthReport:
     """Per-quartile event rates of a single run, with an explosiveness flag:
-    strictly increasing rates across the quartiles, or a saturated
-    intensity, mark the run as explosive."""
+    strictly increasing rates across the quartiles, or an early stop
+    (saturated intensity or exhausted time resolution), mark the run as
+    explosive."""
 
     regime: Regime
     quartile_rates: tuple[float, float, float, float]
@@ -410,7 +381,7 @@ class GrowthReport:
 
     @property
     def explosive(self) -> bool:
-        if self.terminated_reason == "saturation":
+        if self.terminated_reason in EARLY_STOPS:
             return True
         r = self.quartile_rates
         return r[0] < r[1] < r[2] < r[3]

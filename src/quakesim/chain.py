@@ -38,6 +38,7 @@ from .model import (
 from .sampler import sample_interevent, sample_interevent_truncated
 
 __all__ = [
+    "EARLY_STOPS",
     "EventRecord",
     "EventLog",
     "StopRule",
@@ -53,6 +54,9 @@ __all__ = [
 
 KIND_EVENT = "event"
 KIND_PHANTOM = "truncation_phantom"
+
+# terminated_reason of a run that stopped before its StopRule, and the cause
+EARLY_STOPS = {"saturation": "intensity saturation", "time_resolution": "float time resolution"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +103,14 @@ class StopRule:
 @dataclass
 class EventLog:
     """Simulation trace: parameters, initial state, ordered records and the
-    total simulated time.  `terminated_reason` is one of "horizon_reached",
-    "event_budget" or "saturation"."""
+    total simulated time.  `terminated_reason` is one of:
+
+    "horizon_reached"  the next transition would pass stop.horizon
+    "event_budget"     stop.max_events real events were made
+    "saturation"       the intensity reached params.intensity_cap
+    "time_resolution"  the next wait was too short to advance the float
+                       clock (t + dt == t)
+    """
 
     params: ModelParams
     initial: State
@@ -211,9 +221,10 @@ def simulate(
     record as it is produced (streaming CSV for very long runs);
     `keep_records=False` then drops them from the returned log.
 
-    Saturated intensity (at params.intensity_cap) or exhaustion of the
-    float time resolution terminate the run early with
-    terminated_reason="saturation".
+    Two conditions stop the run early: a saturated intensity (at
+    params.intensity_cap) gives terminated_reason="saturation", and a wait
+    below the float resolution of the clock gives "time_resolution".  See
+    `EventLog` for all four reasons.
     """
     records: list[EventRecord] = []
     state = initial
@@ -236,9 +247,9 @@ def simulate(
             reason = "horizon_reached"
             break
         if t + core.dt == t:
-            # wait below float resolution at this time scale: the intensity
-            # is effectively infinite, treat as saturation
-            reason = "saturation"
+            # wait below float resolution at this time scale: time can no
+            # longer advance, whatever the intensity
+            reason = "time_resolution"
             break
         t += core.dt
         n += 1

@@ -5,7 +5,8 @@ regime, probe-supercritical, selftest.  Configuration is a strict JSON
 document (unknown keys are rejected, errors carry JSON paths); bulk event
 data goes to CSV with the fixed header ``n,t,dt,kind,x,y,z,lambda_pre``,
 everything else to JSON.  Exit codes: 0 success, 1 validation failure,
-2 a run terminated by intensity saturation, 3 selftest assertion failure.
+2 a run stopped early (intensity saturation or float time resolution),
+3 selftest assertion failure.
 
 Replica i of a run with master seed s draws from the documented substream
 (seed s, spawn key (i,)); aggregation happens in replica order, so
@@ -15,36 +16,42 @@ Replica i of a run with master seed s draws from the documented substream
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import analysis, foster
-from .chain import EventLog, StopRule, simulate
+from .chain import EARLY_STOPS, KIND_EVENT, EventLog, StopRule, simulate
 from .model import (
     DeterministicZ,
     ExponentialPhi,
     ExponentialZ,
     ModelParams,
+    Regime,
     State,
     ThresholdLinearPhi,
     UniformZ,
+    cumulative_hazard_numeric,
+    cumulative_hazard_primary,
+    phi_eval,
+    regime,
 )
-from .streams import substream
+from .sampler import primary_time_from_exponential, sample_secondary_times
+from .streams import master, substream
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_command", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
-EXIT_SATURATION = 2
+EXIT_EARLY_STOP = 2
 EXIT_SELFTEST = 3
 
 CSV_HEADER = ["n", "t", "dt", "kind", "x", "y", "z", "lambda_pre"]
@@ -69,148 +76,203 @@ class RunConfig:
     output: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        phi = self.model.phi
-        if isinstance(phi, ExponentialPhi):
-            phi_obj: dict[str, Any] = {"kind": "exp", "scale": phi.scale}
-        else:
-            phi_obj = {"kind": "threshold_linear", "theta": phi.theta, "slope": phi.slope}
-        z = self.model.z
-        if isinstance(z, ExponentialZ):
-            z_obj: dict[str, Any] = {"kind": "exponential", "mean": z.mean}
-        elif isinstance(z, UniformZ):
-            z_obj = {"kind": "uniform", "low": z.low, "high": z.high}
-        else:
-            z_obj = {"kind": "deterministic", "value": z.value}
-        stop: dict[str, Any] = {}
-        if self.stop.max_events is not None:
-            stop["max_events"] = self.stop.max_events
-        if self.stop.horizon is not None:
-            stop["horizon"] = self.stop.horizon
-        return {
-            "model": {
-                "c": self.model.c,
-                "k": self.model.k,
-                "alpha": self.model.alpha,
-                "phi": phi_obj,
-                "z": z_obj,
-                "intensity_cap": self.model.intensity_cap,
-            },
-            "initial": {"x": self.initial.x, "y": self.initial.y},
-            "seed": self.seed,
-            "stop": stop,
-            "replications": self.replications,
-            "burn_in_fraction": self.burn_in_fraction,
-            "output": dict(self.output),
-        }
+        return _CONFIG.encode(self)
 
 
-class _Check:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
+# --- configuration schema -------------------------------------------------
+#
+# One table (`_CONFIG`, below) describes the JSON document: its sections,
+# the variants of phi and Z, and each field's type and bounds.  Parsing
+# reports every problem as "<JSON path>: <message>", in table order, and
+# printing walks the same table back.
 
-    def fail(self, path: str, msg: str) -> None:
-        self.errors.append(f"{path}: {msg}")
+_REQUIRED = object()  # default of a field the document must set
+_BAD = object()  # value of a field that failed validation
 
-    def obj(self, data: Any, path: str, required: dict, optional: dict) -> Optional[dict]:
-        if not isinstance(data, dict):
-            self.fail(path, f"expected object, got {type(data).__name__}")
-            return None
-        for key in data:
-            if key not in required and key not in optional:
-                self.fail(f"{path}.{key}", "unknown key")
-        for key in required:
-            if key not in data:
-                self.fail(f"{path}.{key}", "missing key")
-        return data
 
-    def number(self, data: dict, path: str, key: str, lo: float = -math.inf, hi: float = math.inf,
-               lo_strict: bool = False) -> Optional[float]:
-        if key not in data:
-            return None
-        v = data[key]
+class _Leaf:
+    def encode(self, value: Any) -> Any:
+        return value
+
+
+@dataclass(frozen=True)
+class _Number(_Leaf):
+    """A finite JSON number, kept as float, with optional bounds."""
+
+    lo: float = -math.inf
+    lo_strict: bool = False
+    below: float = math.inf
+
+    def parse(self, v: Any, path: str, errors: list[str]) -> Any:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(f"{path}.{key}", f"expected number, got {type(v).__name__}")
-            return None
-        v = float(v)
+            errors.append(f"{path}: expected number, got {type(v).__name__}")
+            return _BAD
+        try:
+            v = float(v)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.inf
         if not math.isfinite(v):
-            self.fail(f"{path}.{key}", "must be finite")
-            return None
-        if lo_strict and v <= lo:
-            self.fail(f"{path}.{key}", f"must be > {lo:g}")
-            return None
-        if v < lo:
-            self.fail(f"{path}.{key}", f"must be >= {lo:g}")
-            return None
-        if v > hi:
-            self.fail(f"{path}.{key}", f"must be <= {hi:g}")
-            return None
-        return v
+            msg = "must be finite"
+        elif self.lo_strict and v <= self.lo:
+            msg = f"must be > {self.lo:g}"
+        elif v < self.lo:
+            msg = f"must be >= {self.lo:g}"
+        elif not v < self.below:
+            msg = f"must be < {self.below:g}"
+        else:
+            return v
+        errors.append(f"{path}: {msg}")
+        return _BAD
 
-    def integer(self, data: dict, path: str, key: str, lo: int = 0, hi: int = 2**63 - 1) -> Optional[int]:
-        if key not in data:
-            return None
-        v = data[key]
+
+@dataclass(frozen=True)
+class _Integer(_Leaf):
+    lo: int
+    hi: int = 2**63 - 1
+    range_error: str = ""  # message for a value outside [lo, hi]
+
+    def parse(self, v: Any, path: str, errors: list[str]) -> Any:
         if isinstance(v, bool) or not isinstance(v, int):
-            self.fail(f"{path}.{key}", f"expected integer, got {type(v).__name__}")
-            return None
-        if v < lo or v > hi:
-            self.fail(f"{path}.{key}", f"must be in [{lo}, {hi}]")
-            return None
+            errors.append(f"{path}: expected integer, got {type(v).__name__}")
+            return _BAD
+        if not self.lo <= v <= self.hi:
+            errors.append(f"{path}: {self.range_error or f'must be in [{self.lo}, {self.hi}]'}")
+            return _BAD
         return v
 
 
-def _parse_phi(data: Any, path: str, chk: _Check):
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "exp":
-        obj = chk.obj(data, path, {"kind": 1, "scale": 1}, {})
-        if obj is None:
-            return None
-        s = chk.number(obj, path, "scale", lo=0.0, lo_strict=True)
-        return ExponentialPhi(s) if s is not None else None
-    if kind == "threshold_linear":
-        obj = chk.obj(data, path, {"kind": 1, "theta": 1, "slope": 1}, {})
-        if obj is None:
-            return None
-        theta = chk.number(obj, path, "theta")
-        slope = chk.number(obj, path, "slope", lo=0.0, lo_strict=True)
-        if theta is None or slope is None:
-            return None
-        return ThresholdLinearPhi(theta, slope)
-    chk.fail(f"{path}.kind", f"unknown variant {kind!r} (expected 'exp' or 'threshold_linear')")
+class _Path(_Leaf):
+    def parse(self, v: Any, path: str, errors: list[str]) -> Any:
+        if isinstance(v, str):
+            return v
+        errors.append(f"{path}: expected string path")
+        return _BAD
+
+
+@dataclass(frozen=True)
+class _Field:
+    key: str
+    type: Any
+    default: Any = _REQUIRED
+
+
+@dataclass(frozen=True)
+class _Record:
+    """A JSON object built into `build(**fields)`.  `rule`, when given,
+    checks fields against each other once each is valid on its own; it
+    returns (key, message) for a violation, key "" naming the object."""
+
+    build: Callable[..., Any]
+    fields: tuple[_Field, ...]
+    rule: Optional[Callable[[dict], Optional[tuple[str, str]]]] = None
+
+    def parse(self, data: Any, path: str, errors: list[str], extra_keys: tuple[str, ...] = ()) -> Any:
+        if not isinstance(data, dict):
+            errors.append(f"{path}: expected object, got {type(data).__name__}")
+            return _BAD
+        known = {f.key for f in self.fields}.union(extra_keys)
+        errors.extend(f"{path}.{key}: unknown key" for key in data if key not in known)
+        missing = [f for f in self.fields if f.default is _REQUIRED and f.key not in data]
+        errors.extend(f"{path}.{f.key}: missing key" for f in missing)
+        values = {}
+        for f in self.fields:
+            # a missing section is also reported as a non-object
+            if f.key in data or (f in missing and isinstance(f.type, _Record)):
+                values[f.key] = f.type.parse(data.get(f.key), f"{path}.{f.key}", errors)
+            else:
+                values[f.key] = _BAD if f in missing else f.default
+        if any(v is _BAD for v in values.values()):
+            return _BAD
+        problem = self.rule(values) if self.rule else None
+        if problem:
+            key, msg = problem
+            errors.append(f"{path}.{key}: {msg}" if key else f"{path}: {msg}")
+            return _BAD
+        return self.build(**values)
+
+    def encode(self, value: Any) -> dict:
+        get = value.get if isinstance(value, dict) else lambda key: getattr(value, key)
+        return {f.key: f.type.encode(v) for f in self.fields if (v := get(f.key)) is not None}
+
+
+@dataclass(frozen=True)
+class _Variants:
+    """A JSON object whose "kind" key selects one of several records."""
+
+    cases: dict[str, _Record]
+
+    def parse(self, data: Any, path: str, errors: list[str]) -> Any:
+        kind = data.get("kind") if isinstance(data, dict) else None
+        case = self.cases.get(kind) if isinstance(kind, str) else None
+        if case is None:
+            *head, last = map(repr, self.cases)
+            errors.append(f"{path}.kind: unknown variant {kind!r} (expected {', '.join(head)} or {last})")
+            return _BAD
+        return case.parse(data, path, errors, extra_keys=("kind",))
+
+    def encode(self, value: Any) -> dict:
+        kind, case = next((k, c) for k, c in self.cases.items() if c.build is type(value))
+        return {"kind": kind, **case.encode(value)}
+
+
+def _high_above_low(z: dict) -> Optional[tuple[str, str]]:
+    return None if z["high"] > z["low"] else ("high", f"must be > low ({z['low']})")
+
+
+def _needs_a_bound(stop: dict) -> Optional[tuple[str, str]]:
+    if stop["max_events"] is None and stop["horizon"] is None:
+        return "", "set max_events, horizon, or both"
     return None
 
 
-def _parse_z(data: Any, path: str, chk: _Check):
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "exponential":
-        obj = chk.obj(data, path, {"kind": 1, "mean": 1}, {})
-        if obj is None:
-            return None
-        m = chk.number(obj, path, "mean", lo=0.0, lo_strict=True)
-        return ExponentialZ(m) if m is not None else None
-    if kind == "uniform":
-        obj = chk.obj(data, path, {"kind": 1, "low": 1, "high": 1}, {})
-        if obj is None:
-            return None
-        low = chk.number(obj, path, "low", lo=0.0)
-        high = chk.number(obj, path, "high")
-        if low is None or high is None:
-            return None
-        if not high > low:
-            chk.fail(f"{path}.high", f"must be > low ({low})")
-            return None
-        return UniformZ(low, high)
-    if kind == "deterministic":
-        obj = chk.obj(data, path, {"kind": 1, "value": 1}, {})
-        if obj is None:
-            return None
-        v = chk.number(obj, path, "value", lo=0.0, lo_strict=True)
-        return DeterministicZ(v) if v is not None else None
-    chk.fail(
-        f"{path}.kind",
-        f"unknown variant {kind!r} (expected 'exponential', 'uniform' or 'deterministic')",
-    )
-    return None
+def _output_paths(**paths: Optional[str]) -> dict:
+    return {key: path for key, path in paths.items() if path is not None}
+
+
+_POSITIVE = _Number(lo=0.0, lo_strict=True)
+_NON_NEGATIVE = _Number(lo=0.0)
+_REAL = _Number()
+
+_PHI = _Variants(
+    {
+        "exp": _Record(ExponentialPhi, (_Field("scale", _POSITIVE),)),
+        "threshold_linear": _Record(ThresholdLinearPhi, (_Field("theta", _REAL), _Field("slope", _POSITIVE))),
+    }
+)
+_Z = _Variants(
+    {
+        "exponential": _Record(ExponentialZ, (_Field("mean", _POSITIVE),)),
+        "uniform": _Record(UniformZ, (_Field("low", _NON_NEGATIVE), _Field("high", _REAL)), _high_above_low),
+        "deterministic": _Record(DeterministicZ, (_Field("value", _POSITIVE),)),
+    }
+)
+_MODEL = _Record(
+    ModelParams,
+    (
+        _Field("c", _POSITIVE),
+        _Field("k", _NON_NEGATIVE),
+        _Field("alpha", _POSITIVE),
+        _Field("intensity_cap", _POSITIVE, 1e12),
+        _Field("phi", _PHI),
+        _Field("z", _Z),
+    ),
+)
+_STOP = _Record(
+    StopRule, (_Field("max_events", _Integer(0), None), _Field("horizon", _POSITIVE, None)), _needs_a_bound
+)
+_OUTPUT = _Record(_output_paths, (_Field("events", _Path(), None), _Field("summary", _Path(), None)))
+_CONFIG = _Record(
+    RunConfig,
+    (
+        _Field("model", _MODEL),
+        _Field("initial", _Record(State, (_Field("x", _REAL), _Field("y", _NON_NEGATIVE)))),
+        _Field("seed", _Integer(0, 2**64 - 1, "must be an unsigned 64-bit integer")),
+        _Field("stop", _STOP),
+        _Field("replications", _Integer(1), 1),
+        _Field("burn_in_fraction", _Number(lo=0.0, below=1.0), 0.1),
+        _Field("output", _OUTPUT, {}),
+    ),
+)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -223,121 +285,51 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"$: invalid JSON: {e}"]) from None
-    chk = _Check()
-    top = chk.obj(
-        data,
-        "$",
-        {"model": 1, "initial": 1, "seed": 1, "stop": 1},
-        {"replications": 1, "burn_in_fraction": 1, "output": 1},
-    )
-    if top is None:
-        raise ConfigError(chk.errors)
-
-    model = None
-    mobj = chk.obj(
-        top.get("model"),
-        "$.model",
-        {"c": 1, "k": 1, "alpha": 1, "phi": 1, "z": 1},
-        {"intensity_cap": 1},
-    )
-    if mobj is not None:
-        c = chk.number(mobj, "$.model", "c", lo=0.0, lo_strict=True)
-        k = chk.number(mobj, "$.model", "k", lo=0.0)
-        alpha = chk.number(mobj, "$.model", "alpha", lo=0.0, lo_strict=True)
-        cap = chk.number(mobj, "$.model", "intensity_cap", lo=0.0, lo_strict=True)
-        phi = _parse_phi(mobj.get("phi"), "$.model.phi", chk) if "phi" in mobj else None
-        z = _parse_z(mobj.get("z"), "$.model.z", chk) if "z" in mobj else None
-        if None not in (c, k, alpha, phi, z):
-            model = ModelParams(c, k, alpha, phi, z, intensity_cap=cap if cap is not None else 1e12)
-
-    initial = None
-    iobj = chk.obj(top.get("initial"), "$.initial", {"x": 1, "y": 1}, {})
-    if iobj is not None:
-        x = chk.number(iobj, "$.initial", "x")
-        y = chk.number(iobj, "$.initial", "y", lo=0.0)
-        if x is not None and y is not None:
-            initial = State(x, y)
-
-    seed = None
-    if "seed" in top:
-        v = top["seed"]
-        if isinstance(v, bool) or not isinstance(v, int):
-            chk.fail("$.seed", f"expected integer, got {type(v).__name__}")
-        elif not 0 <= v < 2**64:
-            chk.fail("$.seed", "must be an unsigned 64-bit integer")
-        else:
-            seed = v
-
-    stop = None
-    sobj = chk.obj(top.get("stop"), "$.stop", {}, {"max_events": 1, "horizon": 1})
-    if sobj is not None:
-        max_events = chk.integer(sobj, "$.stop", "max_events", lo=0)
-        horizon = chk.number(sobj, "$.stop", "horizon", lo=0.0, lo_strict=True)
-        if "max_events" not in sobj and "horizon" not in sobj:
-            chk.fail("$.stop", "set max_events, horizon, or both")
-        elif ("max_events" in sobj) == (max_events is not None) and (
-            "horizon" in sobj
-        ) == (horizon is not None):
-            stop = StopRule(max_events=max_events, horizon=horizon)
-
-    replications = chk.integer(top, "$", "replications", lo=1) if "replications" in top else 1
-    burn = (
-        chk.number(top, "$", "burn_in_fraction", lo=0.0)
-        if "burn_in_fraction" in top
-        else 0.1
-    )
-    if burn is not None and not burn < 1.0:
-        chk.fail("$.burn_in_fraction", "must be < 1")
-        burn = None
-
-    output: dict = {}
-    if "output" in top:
-        oobj = chk.obj(top.get("output"), "$.output", {}, {"events": 1, "summary": 1})
-        if oobj is not None:
-            for key in ("events", "summary"):
-                if key in oobj and not isinstance(oobj[key], str):
-                    chk.fail(f"$.output.{key}", "expected string path")
-                elif key in oobj:
-                    output[key] = oobj[key]
-
-    if chk.errors:
-        raise ConfigError(chk.errors)
-    assert model is not None and initial is not None and seed is not None and stop is not None
-    assert replications is not None and burn is not None
-    return RunConfig(model, initial, seed, stop, replications, burn, output)
+    errors: list[str] = []
+    cfg = _CONFIG.parse(data, "$", errors)
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# --- output -----------------------------------------------------------------
 
 
-def _write_event_csv(log: EventLog, stream: io.TextIOBase) -> None:
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in log.records:
-        kind = "event" if r.kind == "event" else "phantom"
-        w.writerow([r.n, _fmt(r.t), _fmt(r.dt), kind, _fmt(r.x_post), _fmt(r.y_post), _fmt(r.z), _fmt(r.lambda_pre)])
+def _emit(
+    out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] = None, columns: Sequence[str] = ()
+) -> None:
+    """Write `doc` to the file `out`, or to stdout when `out` is None.
 
-
-def _dump_json(obj: Any, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
+    As JSON, `doc` is written whole, indented, with sorted keys.  As CSV,
+    the rows are `doc[table]` (`doc` itself when `table` is None): mappings
+    that share their keys, which name the columns unless `columns` does.
+    Each column's formatter is chosen once, from its first value: floats
+    get 17 significant digits, so they round-trip exactly, anything else
+    str().  Fields are numbers, booleans and bare words, so none needs
+    quoting.
+    """
+    lines: Iterable[str]
+    if fmt == "json":
+        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
     else:
-        sys.stdout.write(text)
+        rows = iter(doc if table is None else doc[table])
+        first = next(rows, None)
+        columns = columns or list(first or ())
+        lines = [",".join(columns) + "\n"]
+        if first is not None:
+            line = ",".join(f"{{{c}:.17g}}" if isinstance(first[c], float) else f"{{{c}}}" for c in columns)
+            lines = itertools.chain(lines, map((line + "\n").format_map, itertools.chain([first], rows)))
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        f.writelines(lines)
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _record(obj: Any, *derived: str) -> dict:
+    """asdict(obj) plus the named derived properties."""
+    return {**asdict(obj), **{name: getattr(obj, name) for name in derived}}
 
 
 def _thread_count(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, args.threads)
     env = os.environ.get("QUAKESIM_THREADS")
     if env:
@@ -351,11 +343,8 @@ def _thread_count(args: argparse.Namespace) -> int:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     with open(args.config) as f:
         cfg = parse_config(f.read())
-    if args.seed is not None:
-        cfg = RunConfig(
-            cfg.model, cfg.initial, args.seed, cfg.stop, cfg.replications, cfg.burn_in_fraction, cfg.output
-        )
-    return cfg
+    seed = getattr(args, "seed", None)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _run_replicas(cfg: RunConfig, threads: int) -> list[EventLog]:
@@ -372,38 +361,36 @@ def _run_replicas(cfg: RunConfig, threads: int) -> list[EventLog]:
         return list(pool.map(one, indices))
 
 
-def _replica_summary(log: EventLog) -> dict:
-    return {
-        "n_events": log.event_count,
-        "n_records": len(log.records),
-        "horizon": log.horizon,
-        "terminated_reason": log.terminated_reason,
-    }
+def _early_stop(logs: list[EventLog]) -> Optional[str]:
+    """The first replica's reason for stopping early, if any did."""
+    return next((lg.terminated_reason for lg in logs if lg.terminated_reason in EARLY_STOPS), None)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    threads = _thread_count(args)
-    logs = _run_replicas(cfg, threads)
-    out_events = args.out or cfg.output.get("events")
-    buf = io.StringIO()
-    _write_event_csv(logs[0], buf)
-    if out_events:
-        with open(out_events, "w") as f:
-            f.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    summary = {
-        "config": cfg.to_json_dict(),
-        "replications": cfg.replications,
-        "replicas": [_replica_summary(lg) for lg in logs],
-    }
+    logs = _run_replicas(cfg, _thread_count(args))
+    rows = (
+        {"n": r.n, "t": r.t, "dt": r.dt, "kind": "event" if r.kind == KIND_EVENT else "phantom",
+         "x": r.x_post, "y": r.y_post, "z": r.z, "lambda_pre": r.lambda_pre}
+        for r in logs[0].records
+    )
+    _emit(args.out or cfg.output.get("events"), rows, "csv", columns=CSV_HEADER)
     out_summary = args.summary or cfg.output.get("summary")
     if out_summary:
-        _dump_json(summary, out_summary)
-    if any(lg.terminated_reason == "saturation" for lg in logs):
-        print("warning: run terminated by intensity saturation", file=sys.stderr)
-        return EXIT_SATURATION
+        replicas = [
+            {
+                "n_events": lg.event_count,
+                "n_records": len(lg.records),
+                "horizon": lg.horizon,
+                "terminated_reason": lg.terminated_reason,
+            }
+            for lg in logs
+        ]
+        _emit(out_summary, {"config": cfg.to_json_dict(), "replications": cfg.replications, "replicas": replicas})
+    reason = _early_stop(logs)
+    if reason:
+        print(f"warning: run terminated by {EARLY_STOPS[reason]}", file=sys.stderr)
+        return EXIT_EARLY_STOP
     return EXIT_OK
 
 
@@ -425,54 +412,33 @@ def _pooled_rate_summary(cfg: RunConfig, logs: list[EventLog]) -> dict:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    threads = _thread_count(args)
-    logs = _run_replicas(cfg, threads)
+    logs = _run_replicas(cfg, _thread_count(args))
     try:
         body = _pooled_rate_summary(cfg, logs)
     except analysis.InsufficientDataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    _dump_json(body, args.out)
-    if any(lg.terminated_reason == "saturation" for lg in logs):
-        return EXIT_SATURATION
-    return EXIT_OK
+    _emit(args.out, body)
+    return EXIT_EARLY_STOP if _early_stop(logs) else EXIT_OK
 
 
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
+def _foster_config(cfg: RunConfig, weights: str) -> foster.FosterConfig:
+    """The drift construction for `--weights r1,r2,r3`."""
+    parts = weights.split(",")
     if len(parts) != 3:
         raise ConfigError(["--weights: expected r1,r2,r3"])
     try:
         r1, r2, r3 = (float(p) for p in parts)
     except ValueError:
-        raise ConfigError([f"--weights: expected three numbers, got {text!r}"]) from None
-    return r1, r2, r3
+        raise ConfigError([f"--weights: expected three numbers, got {weights!r}"]) from None
+    return foster.foster_params(cfg.model, r1, r2, r3, rng=substream(cfg.seed, 0))
 
 
 def _cmd_foster(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    r1, r2, r3 = _parse_weights(args.weights)
-    try:
-        config = foster.foster_params(cfg.model, r1, r2, r3, rng=substream(cfg.seed, 0))
-    except (foster.WeightConstraintError, foster.FosterInfeasibleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config = _foster_config(cfg, args.weights)
     report = foster.validate_foster(cfg.model, config, rng=substream(cfg.seed, 1))
-    body = {
-        "foster_config": {
-            "r1": config.r1,
-            "r2": config.r2,
-            "r3": config.r3,
-            "gamma": config.gamma,
-            "x0": config.x0,
-            "y0": config.y0,
-            "v0": config.v0,
-            "x1": config.x1,
-            "delta": config.delta,
-        },
-        "report": report.as_dict(),
-    }
-    _dump_json(body, args.out)
+    _emit(args.out, {"foster_config": asdict(config), "report": report.as_dict()})
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -496,12 +462,7 @@ def default_drift_grid(config) -> list[State]:
 
 def _cmd_drift(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    r1, r2, r3 = _parse_weights(args.weights)
-    try:
-        config = foster.foster_params(cfg.model, r1, r2, r3, rng=substream(cfg.seed, 0))
-    except (foster.WeightConstraintError, foster.FosterInfeasibleError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config = _foster_config(cfg, args.weights)
     if args.states:
         states = []
         for part in args.states.split(";"):
@@ -509,15 +470,11 @@ def _cmd_drift(args: argparse.Namespace) -> int:
             states.append(State(float(xs), float(ys)))
     else:
         states = default_drift_grid(config)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["x", "y", "n", "mean", "se", "ci99_lo", "ci99_hi", "inside_v"])
+    rows = []
     for i, s in enumerate(states):
-        est = foster.estimate_drift(cfg.model, config, s, args.n, substream(cfg.seed, 100 + i))
-        w.writerow(
-            [_fmt(s.x), _fmt(s.y), est.n, _fmt(est.mean), _fmt(est.se), _fmt(est.ci99_lo), _fmt(est.ci99_hi), est.inside_v]
-        )
-    _write_text(buf.getvalue(), args.out)
+        est = asdict(foster.estimate_drift(cfg.model, config, s, args.n, substream(cfg.seed, 100 + i)))
+        rows.append({**est.pop("state"), **est})
+    _emit(args.out, rows, "csv")
     return EXIT_OK
 
 
@@ -525,36 +482,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     xb, yb = (float(v) for v in args.init_b.split(","))
     grid = [float(v) for v in args.t_grid.split(",")]
-    try:
-        report = analysis.convergence_diagnostic(
-            cfg.model,
-            cfg.initial,
-            State(xb, yb),
-            grid,
-            args.replications,
-            substream(cfg.seed, 0),
-        )
-    except analysis.RegimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.format == "json":
-        body = {
-            "replications": report.replications,
-            "alpha": report.alpha,
-            "cz_warning": report.cz_warning,
-            "points": [
-                {"t": p.t, "ks_x": p.ks_x, "ks_y": p.ks_y, "threshold": p.threshold, "below": p.below}
-                for p in report.points
-            ],
-        }
-        _dump_json(body, args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "ks_x", "ks_y", "threshold", "below"])
-        for p in report.points:
-            w.writerow([_fmt(p.t), _fmt(p.ks_x), _fmt(p.ks_y), _fmt(p.threshold), p.below])
-        _write_text(buf.getvalue(), args.out)
+    report = analysis.convergence_diagnostic(
+        cfg.model, cfg.initial, State(xb, yb), grid, args.replications, substream(cfg.seed, 0)
+    )
+    points = [_record(p, "below") for p in report.points]
+    _emit(args.out, {**asdict(report), "points": points}, args.format, table="points")
     return EXIT_OK
 
 
@@ -567,53 +499,36 @@ _DOMINANCE_CASES = [
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    rows = []
-    for i, (family, lo, hi) in enumerate(_DOMINANCE_CASES):
-        rep = analysis.dominance_test(cfg.model, family, lo, hi, args.n, substream(cfg.seed, i))
-        rows.append(
-            {
-                "family": rep.family,
-                "param_low": rep.param_low,
-                "param_high": rep.param_high,
-                "n": rep.n,
-                "violation": rep.violation,
-                "band": rep.band,
-                "passed": rep.passed,
-            }
-        )
-    _dump_json({"orderings": rows, "all_passed": all(r["passed"] for r in rows)}, args.out)
-    return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VALIDATION
+    rows = [
+        _record(analysis.dominance_test(cfg.model, family, lo, hi, args.n, substream(cfg.seed, i)), "passed")
+        for i, (family, lo, hi) in enumerate(_DOMINANCE_CASES)
+    ]
+    passed = all(r["passed"] for r in rows)
+    _emit(args.out, {"orderings": rows, "all_passed": passed})
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 def _cmd_lemma_l2(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     grid = [float(v) for v in args.y_grid.split(",")]
-    rows = analysis.lemma_l2_check(cfg.model.alpha, grid, args.n, substream(cfg.seed, 0))
-    if args.format == "json":
-        _dump_json(
-            {"rows": [{"y": r.y, "mc": r.mc_value, "se": r.mc_se, "exact": r.exact} for r in rows]},
-            args.out,
-        )
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["y", "mc", "se", "exact"])
-        for r in rows:
-            w.writerow([_fmt(r.y), _fmt(r.mc_value), _fmt(r.mc_se), _fmt(r.exact)])
-        _write_text(buf.getvalue(), args.out)
+    rows = [
+        {"y": r.y, "mc": r.mc_value, "se": r.mc_se, "exact": r.exact}
+        for r in analysis.lemma_l2_check(cfg.model.alpha, grid, args.n, substream(cfg.seed, 0))
+    ]
+    _emit(args.out, {"rows": rows}, args.format, table="rows")
     return EXIT_OK
 
 
 def _cmd_regime(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    r = analysis.regime(cfg.model)
+    r = regime(cfg.model)
     body: dict[str, Any] = {
         "k_over_alpha": cfg.model.k / cfg.model.alpha,
         "regime": r.value,
     }
-    if r is analysis.Regime.SUBCRITICAL:
+    if r is Regime.SUBCRITICAL:
         body["rate_theory"] = analysis.theoretical_rate(cfg.model)
-    _dump_json(body, args.out)
+    _emit(args.out, body)
     return EXIT_OK
 
 
@@ -622,28 +537,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     report = analysis.supercritical_probe(
         cfg.model, args.horizon, args.budget, substream(cfg.seed, 0), initial=cfg.initial
     )
-    _dump_json(
-        {
-            "regime": report.regime.value,
-            "quartile_rates": list(report.quartile_rates),
-            "event_count": report.event_count,
-            "time_covered": report.time_covered,
-            "terminated_reason": report.terminated_reason,
-            "explosive": report.explosive,
-        },
-        args.out,
-    )
+    _emit(args.out, {**_record(report, "explosive"), "regime": report.regime.value})
     return EXIT_OK
 
 
 def _selftest_checks() -> list[tuple[str, bool, str]]:
-    from .model import cumulative_hazard_numeric, cumulative_hazard_primary, phi_eval
-    from .sampler import (
-        primary_time_from_exponential,
-        sample_secondary_times,
-    )
-    from .streams import master
-
     checks: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -672,11 +570,10 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     cfg = foster.foster_params(params, 100.0, 10.0, 1.0, rng=master(77))
     add("gamma exact arithmetic", abs(cfg.gamma - 0.5 / 3.0) < 1e-15, f"gamma={cfg.gamma}")
 
-    add("regime subcritical", analysis.regime(params) is analysis.Regime.SUBCRITICAL)
+    add("regime subcritical", regime(params) is Regime.SUBCRITICAL)
     add(
         "regime supercritical",
-        analysis.regime(ModelParams(1.0, 2.0, 1.0, phi, ExponentialZ(2.0)))
-        is analysis.Regime.SUPERCRITICAL,
+        regime(ModelParams(1.0, 2.0, 1.0, phi, ExponentialZ(2.0))) is Regime.SUPERCRITICAL,
     )
 
     log = simulate(params, State(0.0, 0.0), StopRule(horizon=20_000.0), master(5))
@@ -706,71 +603,59 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_SELFTEST
 
 
+# options shared by several subcommands; each subcommand names the ones it reads
+_SHARED_OPTIONS = {
+    "--config": dict(required=True, help="path to JSON run configuration"),
+    "--out": dict(default=None, help="output path (stdout when omitted)"),
+    "--seed": dict(type=int, default=None, help="override the config seed"),
+    "--threads": dict(type=int, default=None, help="replication fan-out (default 1 or QUAKESIM_THREADS)"),
+    "--format": dict(choices=["csv", "json"], default="csv", help="tabular output format"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="quakesim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, needs_config: bool = True) -> None:
-        if needs_config:
-            sp.add_argument("--config", required=True, help="path to JSON run configuration")
-        sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None, help="replication fan-out (default 1 or QUAKESIM_THREADS)")
-        sp.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
+    def command(name: str, func: Callable, help: str, shared: str = "") -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        for option in shared.split():
+            sp.add_argument(option, **_SHARED_OPTIONS[option])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="event log CSV plus summary JSON")
-    common(sp)
+    sp = command("simulate", _cmd_simulate, "event log CSV plus summary JSON", "--config --out --seed --threads")
     sp.add_argument("--summary", default=None, help="summary JSON path")
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("rate", help="rate estimates with batch-means errors (JSON)")
-    common(sp)
-    sp.set_defaults(func=_cmd_rate)
+    command("rate", _cmd_rate, "rate estimates with batch-means errors (JSON)", "--config --out --seed --threads")
 
-    sp = sub.add_parser("foster", help="drift construction and constraint report (JSON)")
-    common(sp)
+    sp = command("foster", _cmd_foster, "drift construction and constraint report (JSON)", "--config --out --seed")
     sp.add_argument("--weights", default="100,10,1", help="r1,r2,r3")
-    sp.set_defaults(func=_cmd_foster)
 
-    sp = sub.add_parser("drift", help="drift map over a state grid (CSV)")
-    common(sp)
+    sp = command("drift", _cmd_drift, "drift map over a state grid (CSV)", "--config --out --seed")
     sp.add_argument("--weights", default="100,10,1", help="r1,r2,r3")
     sp.add_argument("--n", type=int, default=100_000, help="draws per state")
     sp.add_argument("--states", default=None, help="semicolon-separated x,y pairs")
-    sp.set_defaults(func=_cmd_drift)
 
-    sp = sub.add_parser("converge", help="two-chain KS table over time (CSV)")
-    common(sp)
+    sp = command("converge", _cmd_converge, "two-chain KS table over time (CSV)", "--config --out --seed --format")
     sp.add_argument("--init-b", default="5,10", help="second initial state x,y")
     sp.add_argument("--t-grid", default="10,50,100,200", help="comma-separated times")
     sp.add_argument("--replications", type=int, default=1000)
-    sp.set_defaults(func=_cmd_converge)
 
-    sp = sub.add_parser("dominance", help="clock stochastic-ordering checks (JSON)")
-    common(sp)
+    sp = command("dominance", _cmd_dominance, "clock stochastic-ordering checks (JSON)", "--config --out --seed")
     sp.add_argument("--n", type=int, default=100_000)
-    sp.set_defaults(func=_cmd_dominance)
 
-    sp = sub.add_parser("lemma-l2", help="scaled secondary-clock shrinkage table")
-    common(sp)
+    sp = command("lemma-l2", _cmd_lemma_l2, "scaled secondary-clock shrinkage table", "--config --out --seed --format")
     sp.add_argument("--y-grid", default="0.5,1,2,5,20")
     sp.add_argument("--n", type=int, default=200_000)
-    sp.set_defaults(func=_cmd_lemma_l2)
 
-    sp = sub.add_parser("regime", help="criticality classification (JSON)")
-    common(sp)
-    sp.set_defaults(func=_cmd_regime)
+    command("regime", _cmd_regime, "criticality classification (JSON)", "--config --out")
 
-    sp = sub.add_parser("probe-supercritical", help="explosiveness probe (JSON)")
-    common(sp)
+    sp = command("probe-supercritical", _cmd_probe, "explosiveness probe (JSON)", "--config --out --seed")
     sp.add_argument("--horizon", type=float, default=50.0)
     sp.add_argument("--budget", type=int, default=200_000)
-    sp.set_defaults(func=_cmd_probe)
 
-    sp = sub.add_parser("selftest", help="run the built-in example checks")
-    common(sp, needs_config=False)
-    sp.set_defaults(func=_cmd_selftest)
-
+    command("selftest", _cmd_selftest, "run the built-in example checks")
     return p
 
 
@@ -790,7 +675,7 @@ def run_command(argv: Sequence[str]) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, analysis.RegimeError) as e:
+    except (ValueError, foster.FosterInfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

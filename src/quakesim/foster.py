@@ -51,8 +51,10 @@ from .chain import step_truncated
 from .foster_config import FosterConfig
 from .model import (
     ModelParams,
+    Regime,
     State,
     ThresholdLinearPhi,
+    regime,
     z_mean,
     z_samples,
     z_tail_mean_above,
@@ -500,8 +502,6 @@ def return_times(
     Budget exhaustion is reported, not fatal.  Requires a subcritical
     configuration (positive recurrence has no content otherwise).
     """
-    from .analysis import Regime, regime
-
     if regime(params) is not Regime.SUBCRITICAL:
         raise ValueError("return times require a subcritical configuration")
     if replications < 1:

@@ -23,6 +23,7 @@ across threads; every random operation takes an explicit
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -39,6 +40,8 @@ __all__ = [
     "ZSpec",
     "ModelParams",
     "State",
+    "Regime",
+    "regime",
     "phi_eval",
     "intensity",
     "intensity_saturated",
@@ -52,6 +55,8 @@ __all__ = [
 
 # exp() overflows float64 just above this exponent
 _EXP_OVERFLOW = 709.0
+_INF = math.inf
+_CRITICAL_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,25 @@ class State:
     y: float
 
     def __post_init__(self) -> None:
-        if not self.y >= 0:
-            raise ValueError(f"y must be >= 0, got {self.y}")
+        # chained comparisons, false for NaN: this runs once per event
+        if not (-_INF < self.x < _INF and 0.0 <= self.y < _INF):
+            raise ValueError(f"need finite x and finite y >= 0, got ({self.x}, {self.y})")
+
+
+class Regime(enum.Enum):
+    SUBCRITICAL = "subcritical"
+    CRITICAL = "critical"
+    SUPERCRITICAL = "supercritical"
+
+
+def regime(params: ModelParams, eps: float = _CRITICAL_EPS) -> Regime:
+    """Classify k/alpha against 1 with tolerance eps."""
+    ratio = params.k / params.alpha
+    if ratio < 1.0 - eps:
+        return Regime.SUBCRITICAL
+    if abs(ratio - 1.0) <= eps:
+        return Regime.CRITICAL
+    return Regime.SUPERCRITICAL
 
 
 def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
@@ -270,9 +292,17 @@ def cumulative_hazard_primary(phi: PhiSpec, x, c: float, t) -> float | np.ndarra
     if isinstance(phi, ExponentialPhi):
         s = phi.scale
         # expm1 keeps small-t accuracy; exp(s*x) may round to 0 or inf at
-        # extreme stress, which is the mathematically right limit here
-        with np.errstate(over="ignore"):
+        # extreme stress, which is the right limit unless the other factor
+        # rounds the other way (the NaN products repaired below)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
+            nan = np.isnan(out)
+            if nan.any():
+                # 0*inf: a segment from deep below zero stress whose ramp
+                # overflows expm1; add the exponents in log space instead.
+                # inf*0: an empty segment (t == 0) at overflowing stress.
+                logs = np.exp(s * (x + c * t) + np.log1p(-np.exp(-s * c * t))) / (s * c)
+                out = np.where(nan, np.where(t == 0, 0.0, logs), out)
     else:
         m, theta = phi.slope, phi.theta
         a = x - theta

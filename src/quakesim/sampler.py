@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ExponentialPhi, ModelParams, PhiSpec, State
+from .model import ExponentialPhi, ModelParams, PhiSpec, State, cumulative_hazard_primary
 
 __all__ = [
     "TruncatedDraw",
@@ -200,8 +200,6 @@ def secondary_times_from_uniforms(y: float, alpha: float, u: np.ndarray) -> np.n
 
 def primary_survival(phi: PhiSpec, x: float, c: float, t) -> float | np.ndarray:
     """P(T1 > t) for the primary clock, via the closed-form hazard."""
-    from .model import cumulative_hazard_primary
-
     lam = cumulative_hazard_primary(phi, x, c, t)
     if np.ndim(lam):
         return np.exp(-np.asarray(lam, dtype=float))

@@ -7,6 +7,7 @@ from quakesim import (
     DeterministicZ,
     ExponentialPhi,
     ExponentialZ,
+    GrowthReport,
     InsufficientDataError,
     ModelParams,
     Regime,
@@ -216,6 +217,12 @@ class TestSupercriticalProbe:
         rep = supercritical_probe(p, 50.0, 100_000, np.random.default_rng(98))
         assert rep.regime is Regime.SUPERCRITICAL
         assert rep.explosive
+
+    @pytest.mark.parametrize("reason", ["saturation", "time_resolution"])
+    def test_early_stop_is_explosive(self, reason):
+        rep = GrowthReport(Regime.SUPERCRITICAL, (2.0, 1.0, 1.0, 1.0), 5, 1.0, reason)
+        assert rep.explosive
+        assert not GrowthReport(Regime.SUPERCRITICAL, (2.0, 1.0, 1.0, 1.0), 5, 1.0, "horizon_reached").explosive
 
     def test_near_critical_reports_only(self):
         p = ModelParams(1.0, 0.999, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))

@@ -13,13 +13,17 @@ from quakesim import (
     StopRule,
     ThresholdLinearPhi,
     cumulative_hazard_numeric,
+    estimate_rates,
     flow,
+    foster_params,
     integrated_phi_x,
     integrated_y,
+    master,
     simulate,
     state_at,
     step_natural,
     step_truncated,
+    substream,
     window_integrals,
 )
 from quakesim.chain import KIND_EVENT, KIND_PHANTOM
@@ -130,6 +134,21 @@ class TestSimulate:
         log = simulate(ref_params, State(40.0, 0.0), StopRule(horizon=10.0), np.random.default_rng(49))
         assert log.terminated_reason == "saturation"
         assert log.records == []
+
+    def test_time_resolution_is_not_saturation(self, ref_params):
+        # two phantoms of length v0 ~ 4e304 carry the clock to ~8e304, where
+        # an O(1) wait no longer advances it, though the intensity is ~1
+        cfg = foster_params(ref_params, 100.0, 10.0, 1.0, rng=substream(42, 0))
+        log = simulate(ref_params, State(2.0 * cfg.x1, 1.0), StopRule(max_events=10), master(1), truncated=cfg)
+        assert log.terminated_reason == "time_resolution"
+        assert log.records[-1].lambda_pre < ref_params.intensity_cap
+        # the segment integrals over that log stay finite
+        assert math.isfinite(integrated_phi_x(log))
+        stats = estimate_rates(log)
+        numbers = [v for v in stats.as_dict().values() if isinstance(v, float)]
+        numbers += [v for v in stats.diagnostics.values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in numbers)
+        assert stats.diagnostics["terminated_reason"] == "time_resolution"
 
     def test_subcritical_rate_smoke(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=20_000.0), np.random.default_rng(50))

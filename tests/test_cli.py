@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakesim.cli import ConfigError, RunConfig, parse_config, run_command
 
@@ -109,6 +111,116 @@ class TestParseConfig:
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+
+    def test_error_list_and_order(self):
+        # a missing section is reported twice: missing, then not an object
+        with pytest.raises(ConfigError) as exc:
+            parse_config('{"model": {}, "seed": -1, "output": {"events": 1}, "burn_in_fraction": 1}')
+        assert exc.value.errors == [
+            "$.initial: missing key",
+            "$.stop: missing key",
+            "$.model.c: missing key",
+            "$.model.k: missing key",
+            "$.model.alpha: missing key",
+            "$.model.phi: missing key",
+            "$.model.z: missing key",
+            "$.initial: expected object, got NoneType",
+            "$.seed: must be an unsigned 64-bit integer",
+            "$.stop: expected object, got NoneType",
+            "$.burn_in_fraction: must be < 1",
+            "$.output.events: expected string path",
+        ]
+
+    def test_cross_field_rules(self):
+        bad = json.loads(json.dumps(REF_CONFIG))
+        bad["model"]["z"] = {"kind": "uniform", "low": 2, "high": 2, "x": 0}
+        bad["stop"] = {"when": 1}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(bad))
+        assert exc.value.errors == [
+            "$.model.z.x: unknown key",
+            "$.model.z.high: must be > low (2.0)",
+            "$.stop.when: unknown key",
+            "$.stop: set max_events, horizon, or both",
+        ]
+
+    def test_integer_beyond_float_range(self):
+        text = json.dumps(REF_CONFIG).replace('"c": 1', '"c": 1' + "0" * 400)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == ["$.model.c: must be finite"]
+
+    def test_largest_seed_accepted(self):
+        cfg = json.loads(json.dumps(REF_CONFIG))
+        cfg["seed"] = 2**64 - 1
+        assert parse_config(json.dumps(cfg)).seed == 2**64 - 1
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _uniform_z(draw):
+    low = draw(st.floats(0.0, 1e6))
+    return {"kind": "uniform", "low": low, "high": draw(st.floats(min_value=low, max_value=2e6, exclude_min=True))}
+
+
+_PHIS = [
+    st.fixed_dictionaries({"kind": st.just("exp"), "scale": _POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("threshold_linear"), "theta": _REAL, "slope": _POSITIVE}),
+]
+_ZS = [
+    st.fixed_dictionaries({"kind": st.just("exponential"), "mean": _POSITIVE}),
+    _uniform_z(),
+    st.fixed_dictionaries({"kind": st.just("deterministic"), "value": _POSITIVE}),
+]
+_STOPS = st.one_of(
+    st.fixed_dictionaries({"max_events": st.integers(0, 2**63 - 1)}),
+    st.fixed_dictionaries({"horizon": _POSITIVE}),
+    st.fixed_dictionaries({"max_events": st.integers(0, 2**63 - 1), "horizon": _POSITIVE}),
+)
+
+
+def _configs(phi, z):
+    model = st.fixed_dictionaries(
+        {"c": _POSITIVE, "k": _NON_NEGATIVE, "alpha": _POSITIVE, "phi": phi, "z": z},
+        optional={"intensity_cap": _POSITIVE},
+    )
+    return st.fixed_dictionaries(
+        {
+            "model": model,
+            "initial": st.fixed_dictionaries({"x": _REAL, "y": _NON_NEGATIVE}),
+            "seed": st.integers(0, 2**64 - 1),
+            "stop": _STOPS,
+        },
+        optional={
+            "replications": st.integers(1, 10**6),
+            "burn_in_fraction": st.floats(0.0, 1.0, exclude_max=True),
+            "output": st.fixed_dictionaries({}, optional={"events": st.text(), "summary": st.text()}),
+        },
+    )
+
+
+class TestSchemaRoundTrip:
+    @pytest.mark.parametrize("phi", _PHIS, ids=["exp", "threshold_linear"])
+    @pytest.mark.parametrize("z", _ZS, ids=["exponential", "uniform", "deterministic"])
+    def test_parse_print_parse(self, phi, z):
+        @settings(max_examples=60, deadline=None)
+        @given(doc=_configs(phi, z))
+        def check(doc):
+            cfg = parse_config(json.dumps(doc))
+            printed = cfg.to_json_dict()
+            assert parse_config(json.dumps(printed)) == cfg
+            # the printed document is the input with its defaults filled in
+            for key in ("intensity_cap", "phi", "z"):
+                if key in doc["model"]:
+                    assert printed["model"][key] == doc["model"][key]
+            assert printed["stop"] == doc["stop"]
+            assert printed["output"] == doc.get("output", {})
+
+        check()
 
 
 class TestSimulateCommand:
@@ -291,6 +403,38 @@ class TestOtherCommands:
         p = tmp_path / "bad.json"
         p.write_text("{\"model\": {}}")
         assert run_command(["rate", "--config", str(p)]) == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--format", "json"],
+            ["foster", "--threads", "2"],
+            ["regime", "--seed", "3"],
+            ["selftest", "--threads", "2"],
+            ["selftest", "--out", "x.txt"],
+            ["selftest", "--seed", "1"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, argv):
+        cfg = write_config(tmp_path)
+        if argv[0] != "selftest":
+            argv = argv[:1] + ["--config", str(cfg)] + argv[1:]
+        assert run_command(argv) == 1
+
+    def test_non_finite_drift_state_exit_one(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "drift.csv"
+        argv = ["drift", "--config", str(cfg), "--out", str(out), "--n", "2000", "--states", "nan,1"]
+        assert run_command(argv) == 1
+        assert not out.exists()
+
+    def test_non_finite_converge_state_exit_one(self, tmp_path):
+        # from a NaN stress every wait is 5e-324: the run would never end
+        cfg = write_config(tmp_path)
+        argv = ["converge", "--config", str(cfg), "--init-b", "nan,1", "--t-grid", "5", "--replications", "20"]
+        assert run_command(argv) == 1
 
 
 class TestSelftest:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakesim import (
     DeterministicZ,
@@ -148,6 +150,39 @@ class TestCumulativeHazard:
         with pytest.raises(ValueError):
             cumulative_hazard_primary(ExponentialPhi(1.0), 0.0, 1.0, -0.1)
 
+    def test_segment_from_deep_negative_stress(self):
+        # exp(s*x) underflows to 0 while expm1(s*c*t) overflows; the
+        # integral is exp(0.5)*(1 - exp(-800.5)), i.e. e^0.5 in float64
+        value = cumulative_hazard_primary(ExponentialPhi(1.0), -800.0, 1.0, 800.5)
+        assert value == pytest.approx(math.exp(0.5), rel=1e-12)
+        arr = cumulative_hazard_primary(ExponentialPhi(1.0), np.array([-800.0, 0.0]), 1.0, np.array([800.5, 1.0]))
+        assert arr[0] == value and arr[1] == cumulative_hazard_primary(ExponentialPhi(1.0), 0.0, 1.0, 1.0)
+
+    def test_empty_segment_at_overflowing_stress(self):
+        # exp(s*x) overflows, expm1(0) = 0: the integral over [0, 0] is 0
+        assert cumulative_hazard_primary(ExponentialPhi(1.0), 800.0, 1.0, 0.0) == 0.0
+        arr = cumulative_hazard_primary(ExponentialPhi(2.0), np.array([400.0, 1.0]), 1.0, 0.0)
+        assert arr.tolist() == [0.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.floats(0.01, 10.0),
+        c=st.floats(0.01, 10.0),
+        xt=st.lists(st.tuples(st.floats(-2000.0, 2000.0), st.floats(0.0, 2000.0)), min_size=1, max_size=8),
+    )
+    def test_values_that_were_not_nan_keep_their_bits(self, s, c, xt):
+        # the plain closed form, where it is not NaN, is the reference:
+        # rate estimates built on it must not move by a single bit
+        x, t = (np.array(v) for v in zip(*xt))
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
+        after = cumulative_hazard_primary(ExponentialPhi(s), x, c, t)
+        assert not np.isnan(after).any()
+        kept = ~np.isnan(before)
+        assert after[kept].tobytes() == before[kept].tobytes()
+        scalar = cumulative_hazard_primary(ExponentialPhi(s), float(x[0]), c, float(t[0]))
+        assert np.float64(scalar).tobytes() == after[0].tobytes()
+
 
 class TestZ:
     def test_deterministic(self):
@@ -231,3 +266,11 @@ class TestParams:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             State(0.0, -1e-9)
+
+    @pytest.mark.parametrize(
+        "x,y", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_state_rejects_non_finite(self, x, y):
+        # from a NaN stress every wait is 5e-324, so time never advances
+        with pytest.raises(ValueError, match="finite"):
+            State(x, y)

@@ -134,7 +134,7 @@ def estimate_rates(
         raise ValueError("burn_in_fraction must be in [0, 1)")
     if batches < 2:
         raise ValueError("need at least 2 batches")
-    if log.horizon <= 0 or not log.records:
+    if log.horizon <= 0 or not log.t.size:
         raise InsufficientDataError("insufficient data: empty log")
     if burn_in_fraction == 0.0:
         warnings.warn(
@@ -236,6 +236,8 @@ def convergence_diagnostic(
     """
     if regime(params) is not Regime.SUBCRITICAL:
         raise RegimeError("convergence diagnostic requires the subcritical regime")
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     cz_missing = z_cz_metadata(params.z) is None
     if cz_missing:
         warnings.warn(
@@ -350,6 +352,8 @@ def lemma_l2_check(
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    if n < 2:
+        raise ValueError("n must be >= 2 (the standard error needs two draws)")
     rows = []
     for y in y_grid:
         if y < 0:
@@ -401,7 +405,7 @@ def supercritical_probe(
     report is purely informational.
     """
     log = simulate(params, initial, StopRule(max_events=budget, horizon=horizon), rng)
-    t_end = log.horizon if log.horizon > 0 else (log.records[-1].t if log.records else 0.0)
+    t_end = log.horizon if log.horizon > 0 else (float(log.t[-1]) if log.t.size else 0.0)
     times = log.event_times
     if t_end <= 0:
         rates = (0.0, 0.0, 0.0, 0.0)

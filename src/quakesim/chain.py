@@ -9,8 +9,13 @@ y*exp(-alpha*dt)).  At an event after a wait of T the post-event state is
 The natural chain records every event; the truncated chain additionally
 caps the wait at v0 whenever the stress is at or below a (very negative)
 level x1, producing "phantom" transitions that advance time without an
-event.  Phantoms are logged with kind="truncation_phantom" and excluded
-from all event counts and rate estimates.
+event.  Phantoms are logged with is_event False (kind="truncation_phantom"
+in the record view) and excluded from all event counts and rate estimates.
+
+One transition kernel (`_kernel`) makes every step of both chains on plain
+floats; `simulate`, `step_natural`, `step_truncated` and
+`foster.return_times` all run it.  A trajectory is an `EventLog` of
+columns, one float64 array per field and a boolean event mask.
 
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
@@ -20,6 +25,7 @@ tail segment between the last event and the horizon.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -28,14 +34,21 @@ import numpy as np
 
 from .foster_config import FosterConfig
 from .model import (
+    _EXP_OVERFLOW,
+    ExponentialPhi,
+    ExponentialZ,
     ModelParams,
+    PhiSpec,
     State,
+    UniformZ,
+    ZSpec,
     cumulative_hazard_primary,
-    intensity_saturated,
-    phi_eval,
-    z_sample,
 )
-from .sampler import sample_interevent, sample_interevent_truncated
+from .sampler import primary_time_from_exponential, secondary_time_from_uniform
+
+# not called here; benchmarks/tracing.py wraps them as attributes of this module
+from .model import intensity_saturated, phi_eval  # noqa: F401
+from .sampler import sample_interevent  # noqa: F401
 
 __all__ = [
     "EARLY_STOPS",
@@ -57,6 +70,9 @@ KIND_PHANTOM = "truncation_phantom"
 
 # terminated_reason of a run that stopped before its StopRule, and the cause
 EARLY_STOPS = {"saturation": "intensity saturation", "time_resolution": "float time resolution"}
+
+# the float64 columns of an EventLog, in order; `is_event` follows them
+FLOAT_COLUMNS = ("t", "dt", "x", "y", "z", "lambda_pre")
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,10 +116,20 @@ class StopRule:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
 
 
-@dataclass
+@dataclass(eq=False)
 class EventLog:
-    """Simulation trace: parameters, initial state, ordered records and the
-    total simulated time.  `terminated_reason` is one of:
+    """Simulation trace: parameters, initial state, the total simulated time,
+    why the run stopped, and the transitions as columns, one row per
+    transition (phantoms included) in time order:
+
+    t          absolute transition time (float64)
+    dt         wait since the previous transition, > 0 (float64)
+    x, y       state just after the transition (float64)
+    z          stress relieved, 0 for phantoms (float64)
+    lambda_pre intensity immediately before the transition (float64)
+    is_event   True for an event, False for a truncation phantom (bool)
+
+    `terminated_reason` is one of:
 
     "horizon_reached"  the next transition would pass stop.horizon
     "event_budget"     stop.max_events real events were made
@@ -114,39 +140,62 @@ class EventLog:
 
     params: ModelParams
     initial: State
-    records: list[EventRecord]
     horizon: float
     terminated_reason: str
+    t: np.ndarray
+    dt: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    lambda_pre: np.ndarray
+    is_event: np.ndarray
+
+    @classmethod
+    def from_records(
+        cls, params: ModelParams, initial: State, records: list[EventRecord], horizon: float, terminated_reason: str
+    ) -> EventLog:
+        """A log whose columns hold `records` (their `n` is implied by order)."""
+        fields = ("t", "dt", "x_post", "y_post", "z", "lambda_pre")
+        floats = [np.array([getattr(r, f) for r in records], dtype=float) for f in fields]
+        is_event = np.array([r.kind == KIND_EVENT for r in records], dtype=bool)
+        return cls(params, initial, horizon, terminated_reason, *floats, is_event)
+
+    @cached_property
+    def records(self) -> list[EventRecord]:
+        """The transitions as `EventRecord`s, built from the columns on first
+        use; nothing in the package reads them."""
+        kinds = (KIND_PHANTOM, KIND_EVENT)
+        columns = [getattr(self, name).tolist() for name in FLOAT_COLUMNS]
+        return [
+            EventRecord(n, t, dt, kinds[e], x, y, z, lam)
+            for n, (t, dt, x, y, z, lam, e) in enumerate(zip(*columns, self.is_event.tolist()), 1)
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        scalars = ("params", "initial", "horizon", "terminated_reason")
+        return all(getattr(self, f) == getattr(other, f) for f in scalars) and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in (*FLOAT_COLUMNS, "is_event")
+        )
 
     @property
     def event_count(self) -> int:
-        return sum(1 for r in self.records if r.kind == KIND_EVENT)
+        return int(np.count_nonzero(self.is_event))
 
     @cached_property
     def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-segment arrays (t_start, x_start, y_start, t_end), one row per
         inter-transition segment including the tail up to the horizon."""
-        n = len(self.records)
-        t0 = np.empty(n + 1)
-        x0 = np.empty(n + 1)
-        y0 = np.empty(n + 1)
-        t1 = np.empty(n + 1)
-        t0[0], x0[0], y0[0] = 0.0, self.initial.x, self.initial.y
-        for i, r in enumerate(self.records):
-            t1[i] = r.t
-            t0[i + 1] = r.t
-            x0[i + 1] = r.x_post
-            y0[i + 1] = r.y_post
-        t1[n] = max(self.horizon, t1[n - 1] if n else 0.0)
+        t0 = np.concatenate(([0.0], self.t))
+        x0 = np.concatenate(([self.initial.x], self.x))
+        y0 = np.concatenate(([self.initial.y], self.y))
+        t1 = np.append(self.t, max(self.horizon, self.t[-1] if self.t.size else 0.0))
         return t0, x0, y0, t1
 
     @cached_property
     def event_times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records if r.kind == KIND_EVENT])
-
-    @cached_property
-    def transition_times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.t[self.is_event]
 
 
 def flow(params: ModelParams, state: State, dt: float) -> State:
@@ -160,14 +209,93 @@ def state_at(log: EventLog, t: float) -> State:
     """State (x, y) at absolute time t, reconstructed from the log."""
     if t < 0 or t > log.horizon:
         raise ValueError(f"t={t} outside [0, {log.horizon}]")
-    times = log.transition_times
-    i = int(np.searchsorted(times, t, side="right"))
+    i = int(np.searchsorted(log.t, t, side="right"))
     if i == 0:
         base_t, base = 0.0, log.initial
     else:
-        r = log.records[i - 1]
-        base_t, base = r.t, State(r.x_post, r.y_post)
+        base_t, base = float(log.t[i - 1]), State(float(log.x[i - 1]), float(log.y[i - 1]))
     return flow(log.params, base, t - base_t)
+
+
+def _phi_scalar(phi: PhiSpec) -> Callable[[float], float]:
+    """phi on one float: the arithmetic of `phi_eval`, in `math` only."""
+    if isinstance(phi, ExponentialPhi):
+        s = phi.scale
+
+        def exp_phi(x: float) -> float:
+            v = s * x
+            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
+
+        return exp_phi
+    m, theta = phi.slope, phi.theta
+
+    def ramp(x: float) -> float:
+        d = x - theta
+        return m * (d if d > 0.0 else 0.0)  # np.maximum(d, 0.0): +0.0 at d == -0.0
+
+    return ramp
+
+
+def _z_draw(z: ZSpec, rng: np.random.Generator) -> Callable[[], float]:
+    """One stress drop per call: the draws of `z_sample` on `rng`."""
+    if isinstance(z, ExponentialZ):
+        mean, exponential = z.mean, rng.standard_exponential
+        return lambda: mean * exponential()
+    if isinstance(z, UniformZ):
+        low, high, uniform = z.low, z.high, rng.uniform
+        return lambda: uniform(low, high)
+    value = z.value
+    return lambda: value
+
+
+def _kernel(
+    params: ModelParams, truncated: Optional[FosterConfig], rng: np.random.Generator
+) -> Callable[[float, float], tuple[float, float, float, float, float, bool]]:
+    """The transition function of the natural chain (`truncated` None) or the
+    truncated embedding, drawing from `rng`.
+
+    `step(x, y)` returns (dt, x', y', z, lambda_pre, is_event) on plain
+    floats.  It draws a unit exponential (primary clock), then a uniform
+    (secondary clock), then a stress drop only when the transition is an
+    event; the wait is the minimum of the two clocks.  Below x1 a wait
+    longer than v0 becomes a phantom of length v0: pure flow, z = 0.
+    """
+    phi_spec, c, k, alpha = params.phi, params.c, params.k, params.alpha
+    phi = _phi_scalar(phi_spec)
+    draw_z = _z_draw(params.z, rng)
+    exponential, uniform = rng.standard_exponential, rng.random
+    v0, x1 = (truncated.v0, truncated.x1) if truncated is not None else (math.inf, -math.inf)
+    exp, inf = math.exp, math.inf
+
+    def step(x: float, y: float) -> tuple[float, float, float, float, float, bool]:
+        dt = primary_time_from_exponential(phi_spec, x, c, exponential())
+        t2 = secondary_time_from_uniform(y, alpha, uniform())
+        if t2 < dt:
+            dt = t2
+        event = not (dt > v0 and x <= x1)
+        if not event:
+            dt = v0
+        decay = exp(-alpha * dt)
+        x_pre = x + c * dt
+        y_pre = y * decay
+        lam = phi(x_pre) + y_pre
+        if event:
+            z = draw_z()
+            x_new, y_new = x_pre - z, y_pre + k
+        else:
+            z, x_new, y_new = 0.0, x_pre, y_pre
+        if not (-inf < x_new < inf and 0.0 <= y_new < inf):
+            State(x_new, y_new)  # raises: a drop or a flow left the float range
+        return dt, x_new, y_new, z, lam, event
+
+    return step
+
+
+def _step(
+    params: ModelParams, state: State, truncated: Optional[FosterConfig], rng: np.random.Generator
+) -> tuple[EventRecord, State]:
+    dt, x, y, z, lam, event = _kernel(params, truncated, rng)(state.x, state.y)
+    return EventRecord(0, 0.0, dt, KIND_EVENT if event else KIND_PHANTOM, x, y, z, lam), State(x, y)
 
 
 def step_natural(
@@ -175,13 +303,7 @@ def step_natural(
 ) -> tuple[EventRecord, State]:
     """One natural transition; returns the record core (n and t zeroed) and
     the post-event state."""
-    t = sample_interevent(params, state, rng)
-    z = z_sample(params.z, rng)
-    decay = math.exp(-params.alpha * t)
-    lam_pre = phi_eval(params.phi, state.x + params.c * t) + state.y * decay
-    new = State(state.x + params.c * t - z, state.y * decay + params.k)
-    rec = EventRecord(0, 0.0, t, KIND_EVENT, new.x, new.y, z, lam_pre)
-    return rec, new
+    return _step(params, state, None, rng)
 
 
 def step_truncated(
@@ -190,19 +312,20 @@ def step_truncated(
     """One transition of the truncated embedding.  Identical in law to
     `step_natural` when x > x1; below x1 a wait capped at v0 becomes a
     phantom transition with no stress drop and no aftershock jump."""
-    if state.x > foster.x1:
-        return step_natural(params, state, rng)
-    draw = sample_interevent_truncated(params, state, foster.v0, foster.x1, rng)
-    decay = math.exp(-params.alpha * draw.t_tilde)
-    lam_pre = phi_eval(params.phi, state.x + params.c * draw.t_tilde) + state.y * decay
-    if draw.is_real_event:
-        z = z_sample(params.z, rng)
-        new = State(state.x + params.c * draw.t_tilde - z, state.y * decay + params.k)
-        rec = EventRecord(0, 0.0, draw.t_tilde, KIND_EVENT, new.x, new.y, z, lam_pre)
-    else:
-        new = State(state.x + params.c * draw.t_tilde, state.y * decay)
-        rec = EventRecord(0, 0.0, draw.t_tilde, KIND_PHANTOM, new.x, new.y, 0.0, lam_pre)
-    return rec, new
+    return _step(params, state, foster, rng)
+
+
+def _new_columns() -> tuple[list[array], bytearray]:
+    """Empty growing columns: one array('d') per float column, and a mask."""
+    return [array("d") for _ in FLOAT_COLUMNS], bytearray()
+
+
+def _to_log(
+    params: ModelParams, initial: State, horizon: float, reason: str, floats: list[array], mask: bytearray
+) -> EventLog:
+    """An EventLog over the grown columns (their buffers are shared, not copied)."""
+    columns = [np.frombuffer(col, dtype=np.float64) for col in floats]
+    return EventLog(params, initial, horizon, reason, *columns, np.frombuffer(mask, dtype=np.bool_))
 
 
 def simulate(
@@ -218,52 +341,59 @@ def simulate(
 
     With `truncated` set, transitions follow the truncated embedding and
     phantom records may appear.  `record_sink`, when given, receives every
-    record as it is produced (streaming CSV for very long runs);
-    `keep_records=False` then drops them from the returned log.
+    transition as an `EventRecord` as it is produced (streaming CSV for
+    very long runs); `keep_records=False` then leaves the returned log's
+    columns empty.
 
     Two conditions stop the run early: a saturated intensity (at
     params.intensity_cap) gives terminated_reason="saturation", and a wait
     below the float resolution of the clock gives "time_resolution".  See
     `EventLog` for all four reasons.
     """
-    records: list[EventRecord] = []
-    state = initial
+    step = _kernel(params, truncated, rng)
+    phi = _phi_scalar(params.phi)
+    cap = params.intensity_cap
+    max_events = math.inf if stop.max_events is None else stop.max_events
+    horizon = math.inf if stop.horizon is None else stop.horizon
+    floats, mask = _new_columns()
+    put_t, put_dt, put_x, put_y, put_z, put_lam = (col.append for col in floats)
+    put_event = mask.append
+    x, y = initial.x, initial.y
     t = 0.0
     n = 0
     events = 0
-    reason = "event_budget"
     while True:
-        if stop.max_events is not None and events >= stop.max_events:
+        if events >= max_events:
             reason = "event_budget"
             break
-        if intensity_saturated(params, state):
+        if phi(x) + y >= cap:
             reason = "saturation"
             break
-        if truncated is not None:
-            core, new_state = step_truncated(params, state, truncated, rng)
-        else:
-            core, new_state = step_natural(params, state, rng)
-        if stop.horizon is not None and t + core.dt > stop.horizon:
+        dt, x, y, z, lam, event = step(x, y)
+        if t + dt > horizon:
             reason = "horizon_reached"
             break
-        if t + core.dt == t:
+        if t + dt == t:
             # wait below float resolution at this time scale: time can no
             # longer advance, whatever the intensity
             reason = "time_resolution"
             break
-        t += core.dt
-        n += 1
-        rec = EventRecord(n, t, core.dt, core.kind, core.x_post, core.y_post, core.z, core.lambda_pre)
-        if record_sink is not None:
-            record_sink(rec)
+        t += dt
         if keep_records:
-            records.append(rec)
-        state = new_state
-        if rec.kind == KIND_EVENT:
-            events += 1
+            put_t(t)
+            put_dt(dt)
+            put_x(x)
+            put_y(y)
+            put_z(z)
+            put_lam(lam)
+            put_event(event)
+        if record_sink is not None:
+            n += 1
+            record_sink(EventRecord(n, t, dt, KIND_EVENT if event else KIND_PHANTOM, x, y, z, lam))
+        events += event
 
-    horizon = stop.horizon if (stop.horizon is not None and reason == "horizon_reached") else t
-    return EventLog(params, initial, records, horizon, reason)
+    end = stop.horizon if reason == "horizon_reached" else t
+    return _to_log(params, initial, end, reason, floats, mask)
 
 
 def integrated_y(log: EventLog) -> float:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import analysis, foster
-from .chain import EARLY_STOPS, KIND_EVENT, EventLog, StopRule, simulate
+from .chain import EARLY_STOPS, EventLog, StopRule, simulate
 from .model import (
     DeterministicZ,
     ExponentialPhi,
@@ -55,6 +55,9 @@ EXIT_EARLY_STOP = 2
 EXIT_SELFTEST = 3
 
 CSV_HEADER = ["n", "t", "dt", "kind", "x", "y", "z", "lambda_pre"]
+# one event CSV row: floats with 17 significant digits, as `_emit` writes them
+_EVENT_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
+_EVENT_BLOCK = 4096  # rows formatted per write
 
 
 class ConfigError(ValueError):
@@ -295,14 +298,12 @@ def parse_config(text: str) -> RunConfig:
 # --- output -----------------------------------------------------------------
 
 
-def _emit(
-    out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] = None, columns: Sequence[str] = ()
-) -> None:
+def _emit(out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] = None) -> None:
     """Write `doc` to the file `out`, or to stdout when `out` is None.
 
     As JSON, `doc` is written whole, indented, with sorted keys.  As CSV,
     the rows are `doc[table]` (`doc` itself when `table` is None): mappings
-    that share their keys, which name the columns unless `columns` does.
+    that share their keys, which name the columns.
     Each column's formatter is chosen once, from its first value: floats
     get 17 significant digits, so they round-trip exactly, anything else
     str().  Fields are numbers, booleans and bare words, so none needs
@@ -314,13 +315,31 @@ def _emit(
     else:
         rows = iter(doc if table is None else doc[table])
         first = next(rows, None)
-        columns = columns or list(first or ())
+        columns = list(first or ())
         lines = [",".join(columns) + "\n"]
         if first is not None:
             line = ",".join(f"{{{c}:.17g}}" if isinstance(first[c], float) else f"{{{c}}}" for c in columns)
             lines = itertools.chain(lines, map((line + "\n").format_map, itertools.chain([first], rows)))
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+    with _output(out) as f:
         f.writelines(lines)
+
+
+def _output(out: Optional[str]):
+    """The file `out` opened for writing, or stdout when `out` is None."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
+def _write_events(out: Optional[str], log: EventLog) -> None:
+    """The event CSV of `log`, formatted from its columns in blocks of rows."""
+    kinds = ("phantom", "event")
+    with _output(out) as f:
+        f.write(",".join(CSV_HEADER) + "\n")
+        for i in range(0, log.t.size, _EVENT_BLOCK):
+            block = slice(i, i + _EVENT_BLOCK)
+            t, dt, x, y, z, lam = (col[block].tolist() for col in (log.t, log.dt, log.x, log.y, log.z, log.lambda_pre))
+            kind = [kinds[e] for e in log.is_event[block].tolist()]
+            rows = zip(range(i + 1, i + 1 + len(t)), t, dt, kind, x, y, z, lam)
+            f.write("".join(map(_EVENT_ROW.__mod__, rows)))
 
 
 def _record(obj: Any, *derived: str) -> dict:
@@ -369,18 +388,13 @@ def _early_stop(logs: list[EventLog]) -> Optional[str]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     logs = _run_replicas(cfg, _thread_count(args))
-    rows = (
-        {"n": r.n, "t": r.t, "dt": r.dt, "kind": "event" if r.kind == KIND_EVENT else "phantom",
-         "x": r.x_post, "y": r.y_post, "z": r.z, "lambda_pre": r.lambda_pre}
-        for r in logs[0].records
-    )
-    _emit(args.out or cfg.output.get("events"), rows, "csv", columns=CSV_HEADER)
+    _write_events(args.out or cfg.output.get("events"), logs[0])
     out_summary = args.summary or cfg.output.get("summary")
     if out_summary:
         replicas = [
             {
                 "n_events": lg.event_count,
-                "n_records": len(lg.records),
+                "n_records": lg.t.size,
                 "horizon": lg.horizon,
                 "terminated_reason": lg.terminated_reason,
             }
@@ -586,7 +600,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
 
     log_a = simulate(params, State(0.0, 0.0), StopRule(horizon=500.0), master(9))
     log_b = simulate(params, State(0.0, 0.0), StopRule(horizon=500.0), master(9))
-    add("bit-identical replays", log_a.records == log_b.records)
+    add("bit-identical replays", log_a == log_b)
     return checks
 
 

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import step_truncated
+from .chain import _kernel
 from .foster_config import FosterConfig
 from .model import (
     ModelParams,
@@ -509,12 +509,13 @@ def return_times(
     taus: list[int] = []
     exhausted = 0
     for child in rng.spawn(replications):
-        state = initial
+        step = _kernel(params, config, child)
+        x, y = initial.x, initial.y
         hit = 0
-        for step in range(1, budget + 1):
-            _, state = step_truncated(params, state, config, child)
-            if config.in_recurrent_set(state.x, state.y):
-                hit = step
+        for n in range(1, budget + 1):
+            _, x, y, _, _, _ = step(x, y)
+            if config.in_recurrent_set(x, y):
+                hit = n
                 break
         if hit:
             taus.append(hit)

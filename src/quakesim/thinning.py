@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import KIND_EVENT, EventLog, EventRecord
-from .model import ModelParams, State, phi_eval, z_sample
+from .chain import EventLog, _new_columns, _phi_scalar, _to_log
+from .model import ModelParams, State, z_sample
 
 __all__ = ["simulate_thinning"]
 
@@ -53,15 +53,15 @@ def simulate_thinning(
         raise ValueError("window must be > 0")
 
     c, k, alpha = params.c, params.k, params.alpha
+    phi = _phi_scalar(params.phi)
     x, y = initial.x, initial.y
     t = 0.0
     t_last = 0.0
-    records: list[EventRecord] = []
-    n = 0
+    floats, mask = _new_columns()
     reason = "horizon_reached"
 
     while t < horizon:
-        lam_now = phi_eval(params.phi, x) + y
+        lam_now = phi(x) + y
         if lam_now >= params.intensity_cap:
             reason = "saturation"
             break
@@ -70,7 +70,7 @@ def simulate_thinning(
         else:
             delta = min(_DEFAULT_MAX_WINDOW, 1.0 / max(lam_now, 1e-12))
         delta = min(delta, horizon - t)
-        bound = phi_eval(params.phi, x + c * delta) + y
+        bound = phi(x + c * delta) + y
         if not math.isfinite(bound):
             reason = "saturation"
             break
@@ -83,7 +83,7 @@ def simulate_thinning(
                     break
                 xc = x + c * s
                 yc = y * math.exp(-alpha * s)
-                lam_c = phi_eval(params.phi, xc) + yc
+                lam_c = phi(xc) + yc
                 if lam_c > bound * _BOUND_SLACK:
                     raise RuntimeError(
                         f"thinning bound violated: lambda={lam_c} > bound={bound}"
@@ -91,10 +91,11 @@ def simulate_thinning(
                 if rng.random() * bound <= lam_c:
                     z = z_sample(params.z, rng)
                     t = t + s
-                    n += 1
                     x = xc - z
                     y = yc + k
-                    records.append(EventRecord(n, t, t - t_last, KIND_EVENT, x, y, z, lam_c))
+                    for col, v in zip(floats, (t, t - t_last, x, y, z, lam_c)):
+                        col.append(v)
+                    mask.append(True)
                     t_last = t
                     accepted = True
                     break
@@ -104,4 +105,4 @@ def simulate_thinning(
             y *= math.exp(-alpha * delta)
 
     horizon_out = horizon if reason == "horizon_reached" else t
-    return EventLog(params, initial, records, horizon_out, reason)
+    return _to_log(params, initial, horizon_out, reason, floats, mask)

@@ -81,7 +81,7 @@ class TestEstimateRates:
         assert abs(resid) <= 4.0 * st.diagnostics["balance_residual_se"]
 
     def test_empty_log_raises(self, ref_params, origin):
-        log = EventLog(ref_params, origin, [], 0.0, "event_budget")
+        log = EventLog.from_records(ref_params, origin, [], 0.0, "event_budget")
         with pytest.raises(InsufficientDataError, match="insufficient data"):
             estimate_rates(log)
 
@@ -157,6 +157,11 @@ class TestConvergence:
         with pytest.raises(RegimeError):
             convergence_diagnostic(p, origin, origin, [1.0], 10, np.random.default_rng(87))
 
+    @pytest.mark.parametrize("replications", [0, -3])
+    def test_needs_a_replication(self, ref_params, origin, replications):
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            convergence_diagnostic(ref_params, origin, origin, [1.0], replications, np.random.default_rng(87))
+
 
 class TestDominanceOp:
     @pytest.mark.parametrize(
@@ -202,6 +207,12 @@ class TestLemmaTable:
         rows = lemma_l2_check(1.0, [20.0], 200_000, np.random.default_rng(96))
         assert abs(rows[0].exact - 1.0) < 1e-8
         assert abs(rows[0].mc_value - 1.0) < 0.01
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_draws(self, n):
+        # one draw has no standard error (np.std with ddof=1 is NaN)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            lemma_l2_check(1.0, [1.0], n, np.random.default_rng(98))
 
     def test_alpha_scaling(self):
         alpha = 2.5

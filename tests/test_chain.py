@@ -261,7 +261,7 @@ class TestStateReconstruction:
 
 
 def _manual_log(params, initial, records, horizon):
-    return EventLog(params, initial, records, horizon, "horizon_reached")
+    return EventLog.from_records(params, initial, records, horizon, "horizon_reached")
 
 
 class TestIntegrals:
@@ -283,7 +283,7 @@ class TestIntegrals:
         assert integrated_phi_x(log) == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_zero_length_log(self, ref_params):
-        log = EventLog(ref_params, State(0.0, 0.0), [], 0.0, "event_budget")
+        log = EventLog.from_records(ref_params, State(0.0, 0.0), [], 0.0, "event_budget")
         assert integrated_phi_x(log) == 0.0
         assert integrated_y(log) == 0.0
 

@@ -436,6 +436,21 @@ class TestFlags:
         argv = ["converge", "--config", str(cfg), "--init-b", "nan,1", "--t-grid", "5", "--replications", "20"]
         assert run_command(argv) == 1
 
+    @pytest.mark.parametrize("replications", ["0", "-3"])
+    def test_converge_without_replications_exit_one(self, tmp_path, capsys, replications):
+        cfg = write_config(tmp_path)
+        argv = ["converge", "--config", str(cfg), "--t-grid", "5", "--replications", replications]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == "error: replications must be >= 1\n"
+
+    def test_lemma_l2_single_draw_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "table.json"
+        argv = ["lemma-l2", "--config", str(cfg), "--out", str(out), "--n", "1", "--format", "json"]
+        assert run_command(argv) == 1
+        assert not out.exists()
+        assert "n must be >= 2" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -12,9 +12,9 @@ level x1, producing "phantom" transitions that advance time without an
 event.  Phantoms are logged with is_event False (kind="truncation_phantom"
 in the record view) and excluded from all event counts and rate estimates.
 
-One transition kernel (`_kernel`) makes every step of both chains on plain
-floats; `simulate`, `step_natural`, `step_truncated` and
-`foster.return_times` all run it.  A trajectory is an `EventLog` of
+One transition kernel (`_kernel`) makes every step of both chains, moving
+a mutable position in place; `simulate`, `step_natural`, `step_truncated`
+and `foster.return_times` all run it.  A trajectory is an `EventLog` of
 columns, one float64 array per field and a boolean event mask.
 
 Time integrals of the intensity components over a trajectory are exact:
@@ -34,21 +34,14 @@ import numpy as np
 
 from .foster_config import FosterConfig
 from .model import (
-    _EXP_OVERFLOW,
-    ExponentialPhi,
-    ExponentialZ,
     ModelParams,
-    PhiSpec,
     State,
-    UniformZ,
-    ZSpec,
     cumulative_hazard_primary,
+    intensity_saturated,
+    phi_eval,
+    z_sample,
 )
-from .sampler import primary_time_from_exponential, secondary_time_from_uniform
-
-# not called here; benchmarks/tracing.py wraps them as attributes of this module
-from .model import intensity_saturated, phi_eval  # noqa: F401
-from .sampler import sample_interevent  # noqa: F401
+from .sampler import sample_interevent, sample_interevent_truncated
 
 __all__ = [
     "EARLY_STOPS",
@@ -217,76 +210,55 @@ def state_at(log: EventLog, t: float) -> State:
     return flow(log.params, base, t - base_t)
 
 
-def _phi_scalar(phi: PhiSpec) -> Callable[[float], float]:
-    """phi on one float: the arithmetic of `phi_eval`, in `math` only."""
-    if isinstance(phi, ExponentialPhi):
-        s = phi.scale
+class _Position:
+    """The chain's current state, moved in place by each step.
 
-        def exp_phi(x: float) -> float:
-            v = s * x
-            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
+    It has the two fields of `State`, which is all that `sample_interevent`,
+    `sample_interevent_truncated` and `intensity_saturated` read, without a
+    validated frozen `State` built per transition.
+    """
 
-        return exp_phi
-    m, theta = phi.slope, phi.theta
+    __slots__ = ("x", "y")
 
-    def ramp(x: float) -> float:
-        d = x - theta
-        return m * (d if d > 0.0 else 0.0)  # np.maximum(d, 0.0): +0.0 at d == -0.0
-
-    return ramp
-
-
-def _z_draw(z: ZSpec, rng: np.random.Generator) -> Callable[[], float]:
-    """One stress drop per call: the draws of `z_sample` on `rng`."""
-    if isinstance(z, ExponentialZ):
-        mean, exponential = z.mean, rng.standard_exponential
-        return lambda: mean * exponential()
-    if isinstance(z, UniformZ):
-        low, high, uniform = z.low, z.high, rng.uniform
-        return lambda: uniform(low, high)
-    value = z.value
-    return lambda: value
+    def __init__(self, x: float, y: float) -> None:
+        self.x = x
+        self.y = y
 
 
 def _kernel(
     params: ModelParams, truncated: Optional[FosterConfig], rng: np.random.Generator
-) -> Callable[[float, float], tuple[float, float, float, float, float, bool]]:
+) -> Callable[[_Position], tuple[float, float, float, bool]]:
     """The transition function of the natural chain (`truncated` None) or the
     truncated embedding, drawing from `rng`.
 
-    `step(x, y)` returns (dt, x', y', z, lambda_pre, is_event) on plain
-    floats.  It draws a unit exponential (primary clock), then a uniform
-    (secondary clock), then a stress drop only when the transition is an
-    event; the wait is the minimum of the two clocks.  Below x1 a wait
-    longer than v0 becomes a phantom of length v0: pure flow, z = 0.
+    `step(pos)` moves `pos` to the post-transition state and returns
+    (dt, z, lambda_pre, is_event).  The wait comes from `sample_interevent`
+    (a unit exponential, then a uniform) or, for the truncated chain, from
+    `sample_interevent_truncated`, whose wait capped at v0 below x1 is a
+    phantom: pure flow, z = 0.  A stress drop is drawn only for an event.
     """
-    phi_spec, c, k, alpha = params.phi, params.c, params.k, params.alpha
-    phi = _phi_scalar(phi_spec)
-    draw_z = _z_draw(params.z, rng)
-    exponential, uniform = rng.standard_exponential, rng.random
-    v0, x1 = (truncated.v0, truncated.x1) if truncated is not None else (math.inf, -math.inf)
+    phi, z_law, c, k, alpha = params.phi, params.z, params.c, params.k, params.alpha
+    v0, x1 = (truncated.v0, truncated.x1) if truncated is not None else (None, None)
     exp, inf = math.exp, math.inf
 
-    def step(x: float, y: float) -> tuple[float, float, float, float, float, bool]:
-        dt = primary_time_from_exponential(phi_spec, x, c, exponential())
-        t2 = secondary_time_from_uniform(y, alpha, uniform())
-        if t2 < dt:
-            dt = t2
-        event = not (dt > v0 and x <= x1)
-        if not event:
-            dt = v0
-        decay = exp(-alpha * dt)
-        x_pre = x + c * dt
-        y_pre = y * decay
-        lam = phi(x_pre) + y_pre
-        if event:
-            z = draw_z()
-            x_new, y_new = x_pre - z, y_pre + k
+    def step(pos: _Position) -> tuple[float, float, float, bool]:
+        if v0 is None:
+            dt, event = sample_interevent(params, pos, rng), True
         else:
-            z, x_new, y_new = 0.0, x_pre, y_pre
-        if not (-inf < x_new < inf and 0.0 <= y_new < inf):
-            State(x_new, y_new)  # raises: a drop or a flow left the float range
-        return dt, x_new, y_new, z, lam, event
+            dt, event = sample_interevent_truncated(params, pos, v0, x1, rng)
+        decay = exp(-alpha * dt)
+        x = pos.x + c * dt
+        y = pos.y * decay
+        lam = phi_eval(phi, x) + y
+        if event:
+            z = z_sample(z_law, rng)
+            x, y = x - z, y + k
+        else:
+            z = 0.0
+        if not (-inf < x < inf and 0.0 <= y < inf):
+            State(x, y)  # raises: a drop or a flow left the float range
+        pos.x, pos.y = x, y
+        return dt, z, lam, event
 
     return step
 
@@ -294,8 +266,10 @@ def _kernel(
 def _step(
     params: ModelParams, state: State, truncated: Optional[FosterConfig], rng: np.random.Generator
 ) -> tuple[EventRecord, State]:
-    dt, x, y, z, lam, event = _kernel(params, truncated, rng)(state.x, state.y)
-    return EventRecord(0, 0.0, dt, KIND_EVENT if event else KIND_PHANTOM, x, y, z, lam), State(x, y)
+    pos = _Position(state.x, state.y)
+    dt, z, lam, event = _kernel(params, truncated, rng)(pos)
+    kind = KIND_EVENT if event else KIND_PHANTOM
+    return EventRecord(0, 0.0, dt, kind, pos.x, pos.y, z, lam), State(pos.x, pos.y)
 
 
 def step_natural(
@@ -351,14 +325,12 @@ def simulate(
     `EventLog` for all four reasons.
     """
     step = _kernel(params, truncated, rng)
-    phi = _phi_scalar(params.phi)
-    cap = params.intensity_cap
+    pos = _Position(initial.x, initial.y)
     max_events = math.inf if stop.max_events is None else stop.max_events
     horizon = math.inf if stop.horizon is None else stop.horizon
     floats, mask = _new_columns()
     put_t, put_dt, put_x, put_y, put_z, put_lam = (col.append for col in floats)
     put_event = mask.append
-    x, y = initial.x, initial.y
     t = 0.0
     n = 0
     events = 0
@@ -366,10 +338,10 @@ def simulate(
         if events >= max_events:
             reason = "event_budget"
             break
-        if phi(x) + y >= cap:
+        if intensity_saturated(params, pos):
             reason = "saturation"
             break
-        dt, x, y, z, lam, event = step(x, y)
+        dt, z, lam, event = step(pos)
         if t + dt > horizon:
             reason = "horizon_reached"
             break
@@ -379,6 +351,7 @@ def simulate(
             reason = "time_resolution"
             break
         t += dt
+        x, y = pos.x, pos.y
         if keep_records:
             put_t(t)
             put_dt(dt)

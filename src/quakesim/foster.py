@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _kernel
+from .chain import _kernel, _Position
 from .foster_config import FosterConfig
 from .model import (
     ModelParams,
@@ -510,11 +510,11 @@ def return_times(
     exhausted = 0
     for child in rng.spawn(replications):
         step = _kernel(params, config, child)
-        x, y = initial.x, initial.y
+        pos = _Position(initial.x, initial.y)
         hit = 0
         for n in range(1, budget + 1):
-            _, x, y, _, _, _ = step(x, y)
-            if config.in_recurrent_set(x, y):
+            step(pos)
+            if config.in_recurrent_set(pos.x, pos.y):
                 hit = n
                 break
         if hit:

@@ -253,6 +253,14 @@ def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
     evaluate to inf, which the intensity cap then converts into a
     saturation diagnostic downstream.
     """
+    if type(x) is float:
+        # the event loop's case, in `math` only; same bits as the array path
+        if isinstance(phi, ExponentialPhi):
+            v = phi.scale * x
+            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
+        d = x - phi.theta
+        # as np.maximum(d, 0.0): +0.0 for d == -0.0, NaN kept
+        return phi.slope * (d if d > 0.0 or d != d else 0.0)
     if isinstance(phi, ExponentialPhi):
         v = phi.scale * np.asarray(x, dtype=float)
         if v.ndim == 0:

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import EventLog, _new_columns, _phi_scalar, _to_log
-from .model import ModelParams, State, z_sample
+from .chain import EventLog, _new_columns, _to_log
+from .model import ModelParams, State, phi_eval, z_sample
 
 __all__ = ["simulate_thinning"]
 
@@ -53,7 +53,6 @@ def simulate_thinning(
         raise ValueError("window must be > 0")
 
     c, k, alpha = params.c, params.k, params.alpha
-    phi = _phi_scalar(params.phi)
     x, y = initial.x, initial.y
     t = 0.0
     t_last = 0.0
@@ -61,7 +60,7 @@ def simulate_thinning(
     reason = "horizon_reached"
 
     while t < horizon:
-        lam_now = phi(x) + y
+        lam_now = phi_eval(params.phi, x) + y
         if lam_now >= params.intensity_cap:
             reason = "saturation"
             break
@@ -70,7 +69,7 @@ def simulate_thinning(
         else:
             delta = min(_DEFAULT_MAX_WINDOW, 1.0 / max(lam_now, 1e-12))
         delta = min(delta, horizon - t)
-        bound = phi(x + c * delta) + y
+        bound = phi_eval(params.phi, x + c * delta) + y
         if not math.isfinite(bound):
             reason = "saturation"
             break
@@ -83,7 +82,7 @@ def simulate_thinning(
                     break
                 xc = x + c * s
                 yc = y * math.exp(-alpha * s)
-                lam_c = phi(xc) + yc
+                lam_c = phi_eval(params.phi, xc) + yc
                 if lam_c > bound * _BOUND_SLACK:
                     raise RuntimeError(
                         f"thinning bound violated: lambda={lam_c} > bound={bound}"

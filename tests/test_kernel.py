@@ -38,9 +38,8 @@ from quakesim import (
     step_truncated,
     supercritical_probe,
     window_integrals,
-    z_sample,
 )
-from quakesim.chain import KIND_EVENT, _phi_scalar, _z_draw
+from quakesim.chain import KIND_EVENT
 from quakesim.cli import run_command
 
 _PHIS = st.one_of(
@@ -94,18 +93,39 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
     phi=_PHIS,
     x=st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, 709.0, 709.5, -1e308, 1e308])),
 )
-def test_scalar_phi_matches_phi_eval(phi, x):
-    # same bits as the numpy path, signed zeros and overflow included
+def test_scalar_phi_eval_matches_array_path(phi, x):
+    # the event loop's `math` path gives the bits of the numpy path,
+    # signed zeros and overflow included
     with np.errstate(over="ignore"):
-        a, b = _phi_scalar(phi)(x), phi_eval(phi, x)
+        a, b = phi_eval(phi, x), float(phi_eval(phi, np.array([x]))[0])
+    assert type(a) is float
     assert math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or (math.isnan(a) and math.isnan(b)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(z=_ZS, seed=st.integers(0, 2**32))
-def test_drop_draws_match_z_sample(z, seed):
-    draw, rng = _z_draw(z, master(seed)), master(seed)
-    assert [draw() for _ in range(3)] == [z_sample(z, rng) for _ in range(3)]
+def test_simulate_steps_through_the_sampler_and_model_layers(ref_params, origin, monkeypatch):
+    # each step draws its wait with chain.sample_interevent and checks
+    # saturation with chain.intensity_saturated; phi is evaluated twice per
+    # step, once for saturation and once for lambda_pre
+    import quakesim.chain
+    import quakesim.model
+
+    calls = {"sample_interevent": 0, "intensity_saturated": 0, "phi_eval": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in calls:
+        counting(quakesim.chain, name)
+    counting(quakesim.model, "phi_eval")
+    log = simulate(ref_params, origin, StopRule(horizon=200.0), master(8))
+    steps = log.event_count + 1  # the last wait overshoots the horizon
+    assert calls == {"sample_interevent": steps, "intensity_saturated": steps, "phi_eval": 2 * steps}
 
 
 def test_records_view_matches_columns(ref_params, origin):

@@ -253,17 +253,10 @@ def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
     evaluate to inf, which the intensity cap then converts into a
     saturation diagnostic downstream.
     """
-    if type(x) is float:
-        # the event loop's case, in `math` only; same bits as the array path
-        if isinstance(phi, ExponentialPhi):
-            v = phi.scale * x
-            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
-        d = x - phi.theta
-        # as np.maximum(d, 0.0): +0.0 for d == -0.0, NaN kept
-        return phi.slope * (d if d > 0.0 or d != d else 0.0)
+    scalar = type(x) is float  # the event loop's case: `math` only, no array
     if isinstance(phi, ExponentialPhi):
-        v = phi.scale * np.asarray(x, dtype=float)
-        if v.ndim == 0:
+        v = phi.scale * (x if scalar else np.asarray(x, dtype=float))
+        if scalar or v.ndim == 0:
             v = float(v)
             return math.inf if v > _EXP_OVERFLOW else math.exp(v)
         out = np.empty_like(v)
@@ -271,6 +264,10 @@ def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
         out[big] = np.inf
         out[~big] = np.exp(v[~big])
         return out
+    if scalar:
+        d = x - phi.theta
+        # the bits of np.maximum(d, 0.0): +0.0 for d == -0.0, NaN kept
+        return phi.slope * (d if d > 0.0 or d != d else 0.0)
     v = phi.slope * np.maximum(np.asarray(x, dtype=float) - phi.theta, 0.0)
     return float(v) if v.ndim == 0 else v
 

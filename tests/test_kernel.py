@@ -93,11 +93,12 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
     phi=_PHIS,
     x=st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, 709.0, 709.5, -1e308, 1e308])),
 )
-def test_scalar_phi_eval_matches_array_path(phi, x):
-    # the event loop's `math` path gives the bits of the numpy path,
-    # signed zeros and overflow included
+def test_float_phi_eval_matches_zero_d_path(phi, x):
+    # a Python float takes the `math` path; a 0-d array takes the numpy
+    # path that scalars took before it.  Same bits, signed zeros and
+    # overflow included
     with np.errstate(over="ignore"):
-        a, b = phi_eval(phi, x), float(phi_eval(phi, np.array([x]))[0])
+        a, b = phi_eval(phi, x), phi_eval(phi, np.array(x))
     assert type(a) is float
     assert math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or (math.isnan(a) and math.isnan(b)))
 

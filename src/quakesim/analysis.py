@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import EARLY_STOPS, EventLog, StopRule, simulate, state_at, window_integrals
-from .model import ModelParams, Regime, State, regime, z_cz_metadata, z_mean
+from .model import ModelParams, Regime, State, regime
 from .sampler import sample_primary_times, sample_secondary_times
 from .stats import batch_se, dominance_violation, ks_critical_value, ks_two_sample, one_sided_band
 
@@ -68,7 +68,7 @@ def theoretical_rate(params: ModelParams) -> float:
             f"k/alpha = {params.k / params.alpha:.6g} > 1: no finite-rate "
             "stationary regime exists"
         )
-    return params.c / z_mean(params.z)
+    return params.c / params.z.expectation()
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def estimate_rates(
 
     reg = regime(log.params)
     theory = (
-        log.params.c / z_mean(log.params.z) if reg is Regime.SUBCRITICAL else None
+        log.params.c / log.params.z.expectation() if reg is Regime.SUBCRITICAL else None
     )
     rate_hat = n_events / span
     l1_hat = float(np.sum(int_phi)) / span
@@ -233,12 +233,15 @@ def convergence_diagnostic(
     two per-coordinate samples with the two-sample KS distance against the
     level-alpha critical value.  Small distances at late times are the
     observable footprint of convergence to a common stationary law.
+    Replication counts whose critical value is >= 1 are refused, since no
+    distance could then exceed it.
     """
     if regime(params) is not Regime.SUBCRITICAL:
         raise RegimeError("convergence diagnostic requires the subcritical regime")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    cz_missing = z_cz_metadata(params.z) is None
+    thr = ks_critical_value(replications, replications, alpha)
+    cz_missing = params.z.density_floor() is None
     if cz_missing:
         warnings.warn(
             "stress-drop law has no absolutely continuous component; ergodic "
@@ -265,7 +268,6 @@ def convergence_diagnostic(
                 xs[i, j] = s.x
                 ys[i, j] = s.y
         samples[label] = (xs, ys)
-    thr = ks_critical_value(replications, replications, alpha)
     points = []
     for j, t in enumerate(grid):
         ks_x = ks_two_sample(samples["a"][0][:, j], samples["b"][0][:, j])
@@ -308,12 +310,16 @@ def dominance_test(
                               stochastically with x
 
     The report carries the largest CDF-ordering violation and the
-    level-alpha one-sided band it must stay under.
+    level-alpha one-sided band it must stay under.  Sizes n whose band is
+    >= 1 are refused, since no violation could then exceed it.
     """
     if family not in _DOMINANCE_FAMILIES:
         raise ValueError(f"family must be one of {_DOMINANCE_FAMILIES}, got {family!r}")
     if not param_low < param_high:
         raise ValueError("need param_low < param_high")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    band = one_sided_band(n, n, alpha)
     if family == "secondary":
         hi = sample_secondary_times(param_low, params.alpha, rng, n)
         lo = sample_secondary_times(param_high, params.alpha, rng, n)
@@ -326,7 +332,7 @@ def dominance_test(
         low_shift = param_low + params.c * sample_primary_times(params.phi, param_low, params.c, rng, n)
         high_shift = param_high + params.c * sample_primary_times(params.phi, param_high, params.c, rng, n)
         violation = dominance_violation(high_shift, low_shift)
-    return DominanceReport(family, param_low, param_high, n, violation, one_sided_band(n, n, alpha))
+    return DominanceReport(family, param_low, param_high, n, violation, band)
 
 
 @dataclass(frozen=True)

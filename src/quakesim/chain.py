@@ -33,14 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .foster_config import FosterConfig
-from .model import (
-    ModelParams,
-    State,
-    cumulative_hazard_primary,
-    intensity_saturated,
-    phi_eval,
-    z_sample,
-)
+from .model import ModelParams, State, cumulative_hazard_primary, intensity_saturated, phi_eval
 from .sampler import sample_interevent, sample_interevent_truncated
 
 __all__ = [
@@ -237,7 +230,7 @@ def _kernel(
     `sample_interevent_truncated`, whose wait capped at v0 below x1 is a
     phantom: pure flow, z = 0.  A stress drop is drawn only for an event.
     """
-    phi, z_law, c, k, alpha = params.phi, params.z, params.c, params.k, params.alpha
+    phi, draw, c, k, alpha = params.phi, params.z.draw, params.c, params.k, params.alpha
     v0, x1 = (truncated.v0, truncated.x1) if truncated is not None else (None, None)
     exp, inf = math.exp, math.inf
 
@@ -251,7 +244,7 @@ def _kernel(
         y = pos.y * decay
         lam = phi_eval(phi, x) + y
         if event:
-            z = z_sample(z_law, rng)
+            z = draw(rng)
             x, y = x - z, y + k
         else:
             z = 0.0
@@ -308,16 +301,11 @@ def simulate(
     stop: StopRule,
     rng: np.random.Generator,
     truncated: Optional[FosterConfig] = None,
-    record_sink: Optional[Callable[[EventRecord], None]] = None,
-    keep_records: bool = True,
 ) -> EventLog:
     """Simulate one trajectory of the embedded chain.
 
     With `truncated` set, transitions follow the truncated embedding and
-    phantom records may appear.  `record_sink`, when given, receives every
-    transition as an `EventRecord` as it is produced (streaming CSV for
-    very long runs); `keep_records=False` then leaves the returned log's
-    columns empty.
+    phantom records may appear.
 
     Two conditions stop the run early: a saturated intensity (at
     params.intensity_cap) gives terminated_reason="saturation", and a wait
@@ -332,7 +320,6 @@ def simulate(
     put_t, put_dt, put_x, put_y, put_z, put_lam = (col.append for col in floats)
     put_event = mask.append
     t = 0.0
-    n = 0
     events = 0
     while True:
         if events >= max_events:
@@ -351,18 +338,13 @@ def simulate(
             reason = "time_resolution"
             break
         t += dt
-        x, y = pos.x, pos.y
-        if keep_records:
-            put_t(t)
-            put_dt(dt)
-            put_x(x)
-            put_y(y)
-            put_z(z)
-            put_lam(lam)
-            put_event(event)
-        if record_sink is not None:
-            n += 1
-            record_sink(EventRecord(n, t, dt, KIND_EVENT if event else KIND_PHANTOM, x, y, z, lam))
+        put_t(t)
+        put_dt(dt)
+        put_x(pos.x)
+        put_y(pos.y)
+        put_z(z)
+        put_lam(lam)
+        put_event(event)
         events += event
 
     end = stop.horizon if reason == "horizon_reached" else t

@@ -49,16 +49,7 @@ import numpy as np
 
 from .chain import _kernel, _Position
 from .foster_config import FosterConfig
-from .model import (
-    ModelParams,
-    Regime,
-    State,
-    ThresholdLinearPhi,
-    regime,
-    z_mean,
-    z_samples,
-    z_tail_mean_above,
-)
+from .model import ModelParams, Regime, State, regime
 from .sampler import (
     primary_times_from_exponentials,
     sample_primary_times,
@@ -145,7 +136,7 @@ def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> floa
     for name, v in (("r1", r1), ("r2", r2), ("r3", r3)):
         if not v > 0:
             raise WeightConstraintError(f"{name} must be > 0, got {v}")
-    ez = z_mean(params.z)
+    ez = params.z.expectation()
     delta = 0.5 * (params.alpha - params.k)
     if delta <= 0:
         raise WeightConstraintError(
@@ -178,23 +169,6 @@ def _bisect_decreasing(f, lo: float, hi: float, iters: int = 200) -> float:
     return hi
 
 
-def _quiet_stress_level(params: ModelParams, v0: float) -> float:
-    """Largest x1 with hazard integral over [0, v0] at most log 2, in log
-    space (c*v0 can be far beyond exp-able range)."""
-    c = params.c
-    phi = params.phi
-    if isinstance(phi, ThresholdLinearPhi):
-        # zero hazard on the whole window
-        return phi.theta - c * v0
-    s = phi.scale
-    scv = s * c * v0
-    if scv > 1e-8:
-        log_em1 = scv + math.log1p(-math.exp(-scv))
-    else:
-        log_em1 = math.log(math.expm1(scv))
-    return (math.log(math.log(2.0) * s * c) - log_em1) / s
-
-
 def foster_params(
     params: ModelParams,
     r1: float,
@@ -213,7 +187,7 @@ def foster_params(
         rng = np.random.default_rng(0x5EED)
     delta = _check_weights(params, r1, r2, r3)
     c, k, alpha = params.c, params.k, params.alpha
-    ez = z_mean(params.z)
+    ez = params.z.expectation()
     gamma = min(r2 * delta - r3 * ez, r1 * ez - r2 * k) / 3.0
 
     # common random numbers: one draw set reused across all bisection
@@ -224,7 +198,7 @@ def foster_params(
     # x0: primary wait and overshoot budgets, each at most gamma
     def x0_excess(x: float) -> float:
         wait = r1 * c * float(np.mean(primary_times_from_exponentials(params.phi, x, c, e_draws)))
-        overshoot = (r1 + r3) * z_tail_mean_above(params.z, x)
+        overshoot = (r1 + r3) * params.z.tail_mean_above(x)
         return max(wait, overshoot) - gamma
 
     if x0_excess(0.0) <= 0.0:
@@ -283,9 +257,10 @@ def foster_params(
     v0 = max(_MARGIN * v_gain, _MARGIN * math.exp(ln_v_push))
 
     # x1: below the truncation reach and quiet enough that the primary clock
-    # usually outlasts the whole window; then verified (and pushed further
-    # down if needed) against the corner decay-gain requirement
-    x1 = min(-c * v0, _quiet_stress_level(params, v0))
+    # usually outlasts the whole window (hazard over [0, v0] at most log 2);
+    # then verified (and pushed further down if needed) against the corner
+    # decay-gain requirement
+    x1 = min(-c * v0, params.phi.quiet_level(c, v0))
     x1 = x1 - max(1.0, 1e-9 * abs(x1))
 
     target = k + delta
@@ -326,7 +301,7 @@ def validate_foster(
     if rng is None:
         rng = np.random.default_rng(0xF0551)
     c, k, alpha = params.c, params.k, params.alpha
-    ez = z_mean(params.z)
+    ez = params.z.expectation()
     r1, r2, r3 = config.r1, config.r2, config.r3
     gamma, delta = config.gamma, config.delta
     x0, y0, v0, x1 = config.x0, config.y0, config.v0, config.x1
@@ -351,7 +326,7 @@ def validate_foster(
     t1_x0 = sample_primary_times(params.phi, x0, c, rng, n)
     mc("x0_primary_wait", gamma - r1 * c * t1_x0, 0.0, +1)
 
-    z_draw = z_samples(params.z, rng, n)
+    z_draw = params.z.draws(rng, n)
     mc("x0_overshoot", gamma - (r1 + r3) * np.maximum(z_draw - x0, 0.0), 0.0, +1)
 
     t2_y0 = sample_secondary_times(y0, alpha, rng, n)
@@ -435,7 +410,7 @@ def estimate_drift(
     t1 = sample_primary_times(params.phi, x, c, rng, n)
     t2 = sample_secondary_times(y, alpha, rng, n)
     t = np.minimum(t1, t2)
-    z = z_samples(params.z, rng, n)
+    z = params.z.draws(rng, n)
     if x <= config.x1:
         real = t <= config.v0
         t_eff = np.minimum(t, config.v0)

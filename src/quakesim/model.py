@@ -9,15 +9,29 @@ random amount Z at every event, Y(t) is an aftershock residual that decays
 exponentially at rate alpha and jumps by k at every event, and phi is a
 non-decreasing positive "primary hazard" function of the stress.
 
-Two phi families are supported:
+There are two phi families,
 
 * ``ExponentialPhi(scale=s)``:      phi(x) = exp(s*x), strictly positive
 * ``ThresholdLinearPhi(theta, m)``: phi(x) = m*max(0, x - theta), zero below
   the threshold, linear above it
 
-Three stress-drop distributions are supported: exponential, uniform and
-deterministic.  All types are immutable after construction and safe to share
-across threads; every random operation takes an explicit
+and three stress-drop laws: ``ExponentialZ(mean)``, ``UniformZ(low, high)``
+and ``DeterministicZ(value)``.  Each variant class carries its own formulas:
+
+    phi  at(x)                 phi(x), x a float (math only) or an array
+         hazard(x, c, t)       integral of phi(x + c*v) over [0, t], arrays
+         invert(x, c, e)       the wait T > 0 with hazard(x, c, T) = e > 0
+         invert_many(x, c, e)  the same for an array of e
+         quiet_level(c, v0)    largest x with hazard(x, c, v0) <= log 2
+    Z    draw(rng)             one drop; draws(rng, n): an array of n
+         expectation()         E[Z]
+         tail_mean_above(x0)   E[(Z - x0)^+]
+         density_floor()       (z1, z2, h), density >= h on [z1, z2]; None
+                               without an absolutely continuous part
+
+`phi_eval`, `cumulative_hazard_primary` and the inversions in `sampler` are
+thin calls into these methods.  All types are immutable after construction
+and safe to share across threads; every random operation takes an explicit
 ``numpy.random.Generator``.
 """
 
@@ -47,16 +61,13 @@ __all__ = [
     "intensity_saturated",
     "cumulative_hazard_primary",
     "cumulative_hazard_numeric",
-    "z_sample",
-    "z_samples",
-    "z_mean",
-    "z_tail_mean_above",
 ]
 
 # exp() overflows float64 just above this exponent
 _EXP_OVERFLOW = 709.0
 _INF = math.inf
 _CRITICAL_EPS = 1e-12
+_TINY = 5e-324  # smallest positive subnormal; floor for open-interval draws
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,65 @@ class ExponentialPhi:
     def __post_init__(self) -> None:
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
+
+    def at(self, x) -> float | np.ndarray:
+        scalar = type(x) is float  # the event loop's case: `math` only, no array
+        v = self.scale * (x if scalar else np.asarray(x, dtype=float))
+        if scalar or v.ndim == 0:
+            v = float(v)
+            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
+        out = np.empty_like(v)
+        big = v > _EXP_OVERFLOW
+        out[big] = np.inf
+        out[~big] = np.exp(v[~big])
+        return out
+
+    def hazard(self, x: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
+        s = self.scale
+        # expm1 keeps small-t accuracy; exp(s*x) may round to 0 or inf at
+        # extreme stress, which is the right limit unless the other factor
+        # rounds the other way (the non-finite products repaired below)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # 0*inf or tiny*inf: a segment from below zero stress whose
+                # ramp overflows expm1; inf*small: a short segment at
+                # overflowing stress.  Add the exponents in log space
+                # instead, which is inf only where the integral overflows.
+                # inf*0: an empty segment (t == 0) at overflowing stress.
+                logs = np.exp(s * (x + c * t) + np.log(-np.expm1(-s * c * t))) / (s * c)
+                out = np.where(bad, np.where(t == 0, 0.0, logs), out)
+        return out
+
+    def invert(self, x: float, c: float, e: float) -> float:
+        s = self.scale
+        sc = s * c
+        w = math.log(sc * e) - s * x
+        if w > 36.0:
+            # log1p(exp(w)) = w + log1p(exp(-w)); the correction underflows
+            t = (w + math.exp(-w)) / sc
+        elif w < -36.0:
+            t = math.exp(w) / sc
+        else:
+            t = math.log1p(math.exp(w)) / sc
+        return t if t > 0.0 else _TINY
+
+    def invert_many(self, x: float, c: float, e: np.ndarray) -> np.ndarray:
+        s = self.scale
+        sc = s * c
+        w = np.log(sc * e) - s * x
+        return np.maximum(np.logaddexp(0.0, w) / sc, _TINY)
+
+    def quiet_level(self, c: float, v0: float) -> float:
+        # in log space: c*v0 can be far beyond the exp-able range
+        s = self.scale
+        scv = s * c * v0
+        if scv > 1e-8:
+            log_em1 = scv + math.log1p(-math.exp(-scv))
+        else:
+            log_em1 = math.log(math.expm1(scv))
+        return (math.log(math.log(2.0) * s * c) - log_em1) / s
 
 
 @dataclass(frozen=True)
@@ -83,6 +153,44 @@ class ThresholdLinearPhi:
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
+    def at(self, x) -> float | np.ndarray:
+        if type(x) is float:
+            d = x - self.theta
+            # the bits of np.maximum(d, 0.0): +0.0 for d == -0.0, NaN kept
+            return self.slope * (d if d > 0.0 or d != d else 0.0)
+        v = self.slope * np.maximum(np.asarray(x, dtype=float) - self.theta, 0.0)
+        return float(v) if v.ndim == 0 else v
+
+    def hazard(self, x: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
+        a = x - self.theta
+        # time at which the ramp crosses the threshold (0 if already above)
+        t0 = np.maximum(-a / c, 0.0)
+        dt = np.maximum(t - t0, 0.0)
+        start = np.maximum(a, 0.0)
+        return self.slope * (start * dt + 0.5 * c * dt * dt)
+
+    def invert(self, x: float, c: float, e: float) -> float:
+        m = self.slope
+        a = x - self.theta
+        if a >= 0.0:
+            # m*(a*T + c*T^2/2) = e, positive root in cancellation-free form
+            t = 2.0 * (e / m) / (a + math.sqrt(a * a + 2.0 * c * e / m))
+        else:
+            # zero hazard until the ramp reaches the threshold at (theta-x)/c
+            t = -a / c + math.sqrt(2.0 * e / (m * c))
+        return t if t > 0.0 else _TINY
+
+    def invert_many(self, x: float, c: float, e: np.ndarray) -> np.ndarray:
+        m = self.slope
+        a = x - self.theta
+        if a >= 0.0:
+            return np.maximum(2.0 * (e / m) / (a + np.sqrt(a * a + 2.0 * c * e / m)), _TINY)
+        return np.maximum(-a / c + np.sqrt(2.0 * e / (m * c)), _TINY)
+
+    def quiet_level(self, c: float, v0: float) -> float:
+        # zero hazard on the whole window
+        return self.theta - c * v0
+
 
 PhiSpec = Union[ExponentialPhi, ThresholdLinearPhi]
 
@@ -96,6 +204,24 @@ class ExponentialZ:
     def __post_init__(self) -> None:
         if not self.mean > 0:
             raise ValueError(f"mean must be > 0, got {self.mean}")
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return self.mean * rng.standard_exponential()
+
+    def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.mean * rng.standard_exponential(n)
+
+    def expectation(self) -> float:
+        return self.mean
+
+    def tail_mean_above(self, x0: float) -> float:
+        if x0 <= 0:
+            return self.mean - x0
+        return self.mean * math.exp(-x0 / self.mean)
+
+    def density_floor(self) -> tuple[float, float, float]:
+        # density exp(-z/mean)/mean is >= exp(-1)/mean on [0, mean]
+        return (0.0, self.mean, math.exp(-1.0) / self.mean)
 
 
 @dataclass(frozen=True)
@@ -111,6 +237,25 @@ class UniformZ:
         if not self.high > self.low:
             raise ValueError(f"need high > low, got [{self.low}, {self.high}]")
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return rng.uniform(self.low, self.high)
+
+    def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n)
+
+    def expectation(self) -> float:
+        return 0.5 * (self.low + self.high)
+
+    def tail_mean_above(self, x0: float) -> float:
+        if x0 <= self.low:
+            return 0.5 * (self.low + self.high) - x0
+        if x0 >= self.high:
+            return 0.0
+        return (self.high - x0) ** 2 / (2.0 * (self.high - self.low))
+
+    def density_floor(self) -> tuple[float, float, float]:
+        return (self.low, self.high, 1.0 / (self.high - self.low))
+
 
 @dataclass(frozen=True)
 class DeterministicZ:
@@ -122,64 +267,23 @@ class DeterministicZ:
         if not self.value > 0:
             raise ValueError(f"value must be > 0, got {self.value}")
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return self.value
+
+    def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.value)
+
+    def expectation(self) -> float:
+        return self.value
+
+    def tail_mean_above(self, x0: float) -> float:
+        return max(self.value - x0, 0.0)
+
+    def density_floor(self) -> None:
+        return None
+
 
 ZSpec = Union[ExponentialZ, UniformZ, DeterministicZ]
-
-
-def z_mean(z: ZSpec) -> float:
-    """Mean stress drop E[Z]."""
-    if isinstance(z, ExponentialZ):
-        return z.mean
-    if isinstance(z, UniformZ):
-        return 0.5 * (z.low + z.high)
-    return z.value
-
-
-def z_cz_metadata(z: ZSpec) -> tuple[float, float, float] | None:
-    """Interval and density floor (z1, z2, h) of an absolutely continuous
-    component of Z, or None when the law has no such component
-    (deterministic drops).  Used by convergence diagnostics to decide
-    whether the two-chain comparison is backed by the smoothness the
-    ergodic theory needs."""
-    if isinstance(z, ExponentialZ):
-        # density exp(-z/mean)/mean is >= exp(-1)/mean on [0, mean]
-        return (0.0, z.mean, math.exp(-1.0) / z.mean)
-    if isinstance(z, UniformZ):
-        return (z.low, z.high, 1.0 / (z.high - z.low))
-    return None
-
-
-def z_sample(z: ZSpec, rng: np.random.Generator) -> float:
-    """Draw one stress drop."""
-    if isinstance(z, ExponentialZ):
-        return z.mean * rng.standard_exponential()
-    if isinstance(z, UniformZ):
-        return rng.uniform(z.low, z.high)
-    return z.value
-
-
-def z_samples(z: ZSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vector of n stress drops (same law as `z_sample`)."""
-    if isinstance(z, ExponentialZ):
-        return z.mean * rng.standard_exponential(n)
-    if isinstance(z, UniformZ):
-        return rng.uniform(z.low, z.high, size=n)
-    return np.full(n, z.value)
-
-
-def z_tail_mean_above(z: ZSpec, x0: float) -> float:
-    """E[(Z - x0)^+], closed form per variant."""
-    if isinstance(z, ExponentialZ):
-        if x0 <= 0:
-            return z.mean - x0
-        return z.mean * math.exp(-x0 / z.mean)
-    if isinstance(z, UniformZ):
-        if x0 <= z.low:
-            return 0.5 * (z.low + z.high) - x0
-        if x0 >= z.high:
-            return 0.0
-        return (z.high - x0) ** 2 / (2.0 * (z.high - z.low))
-    return max(z.value - x0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -212,10 +316,6 @@ class ModelParams:
         if not self.intensity_cap > 0:
             raise ValueError(f"intensity_cap must be > 0, got {self.intensity_cap}")
 
-    @property
-    def z_mean(self) -> float:
-        return z_mean(self.z)
-
 
 @dataclass(frozen=True)
 class State:
@@ -247,29 +347,13 @@ def regime(params: ModelParams, eps: float = _CRITICAL_EPS) -> Regime:
 
 
 def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
-    """Primary hazard phi(x).  Accepts scalars or numpy arrays.
+    """Primary hazard phi(x) (`phi.at`).  Accepts scalars or numpy arrays.
 
     Guarded against float overflow: exponents past the float64 range
     evaluate to inf, which the intensity cap then converts into a
     saturation diagnostic downstream.
     """
-    scalar = type(x) is float  # the event loop's case: `math` only, no array
-    if isinstance(phi, ExponentialPhi):
-        v = phi.scale * (x if scalar else np.asarray(x, dtype=float))
-        if scalar or v.ndim == 0:
-            v = float(v)
-            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
-        out = np.empty_like(v)
-        big = v > _EXP_OVERFLOW
-        out[big] = np.inf
-        out[~big] = np.exp(v[~big])
-        return out
-    if scalar:
-        d = x - phi.theta
-        # the bits of np.maximum(d, 0.0): +0.0 for d == -0.0, NaN kept
-        return phi.slope * (d if d > 0.0 or d != d else 0.0)
-    v = phi.slope * np.maximum(np.asarray(x, dtype=float) - phi.theta, 0.0)
-    return float(v) if v.ndim == 0 else v
+    return phi.at(x)
 
 
 def intensity(params: ModelParams, state: State) -> float:
@@ -294,28 +378,7 @@ def cumulative_hazard_primary(phi: PhiSpec, x, c: float, t) -> float | np.ndarra
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if isinstance(phi, ExponentialPhi):
-        s = phi.scale
-        # expm1 keeps small-t accuracy; exp(s*x) may round to 0 or inf at
-        # extreme stress, which is the right limit unless the other factor
-        # rounds the other way (the NaN products repaired below)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
-            nan = np.isnan(out)
-            if nan.any():
-                # 0*inf: a segment from deep below zero stress whose ramp
-                # overflows expm1; add the exponents in log space instead.
-                # inf*0: an empty segment (t == 0) at overflowing stress.
-                logs = np.exp(s * (x + c * t) + np.log1p(-np.exp(-s * c * t))) / (s * c)
-                out = np.where(nan, np.where(t == 0, 0.0, logs), out)
-    else:
-        m, theta = phi.slope, phi.theta
-        a = x - theta
-        # time at which the ramp crosses the threshold (0 if already above)
-        t0 = np.maximum(-a / c, 0.0)
-        dt = np.maximum(t - t0, 0.0)
-        start = np.maximum(a, 0.0)
-        out = m * (start * dt + 0.5 * c * dt * dt)
+    out = phi.hazard(x, c, t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,6 +14,8 @@ unit exponential, so the sampler is exact (no discretisation, no
 rejection).  Scalar versions are used in the sequential event loop; the
 ``*_times`` batch versions produce numpy arrays for Monte Carlo work and
 share the same inversion formulas through the ``*_from_*`` transforms.
+The primary clock's formulas are methods of each phi family
+(``invert``/``invert_many``, see ``model``).
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ExponentialPhi, ModelParams, PhiSpec, State, cumulative_hazard_primary
+from .model import _TINY, ModelParams, PhiSpec, State, cumulative_hazard_primary
 
 __all__ = [
     "TruncatedDraw",
-    "sample_primary_time",
     "sample_secondary_time",
     "sample_interevent",
     "sample_interevent_truncated",
@@ -38,8 +39,6 @@ __all__ = [
     "primary_survival",
     "secondary_survival",
 ]
-
-_TINY = 5e-324  # smallest positive subnormal; floor for open-interval draws
 
 
 class TruncatedDraw(NamedTuple):
@@ -55,7 +54,8 @@ class TruncatedDraw(NamedTuple):
 
 
 def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) -> float:
-    """Solve (cumulative primary hazard from x)(T) = e for T, scalar.
+    """Solve (cumulative primary hazard from x)(T) = e for T, scalar
+    (`phi.invert`, with e <= 0 floored to the smallest positive float).
 
     Exponential phi:  T = log(1 + s*c*e*exp(-s*x)) / (s*c), evaluated in
     log space when exp(-s*x) would overflow.  Threshold-linear phi: the
@@ -64,27 +64,7 @@ def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) ->
     """
     if e <= 0.0:
         e = _TINY
-    if isinstance(phi, ExponentialPhi):
-        s = phi.scale
-        sc = s * c
-        w = math.log(sc * e) - s * x
-        if w > 36.0:
-            # log1p(exp(w)) = w + log1p(exp(-w)); the correction underflows
-            t = (w + math.exp(-w)) / sc
-        elif w < -36.0:
-            t = math.exp(w) / sc
-        else:
-            t = math.log1p(math.exp(w)) / sc
-        return t if t > 0.0 else _TINY
-    m, theta = phi.slope, phi.theta
-    a = x - theta
-    if a >= 0.0:
-        # m*(a*T + c*T^2/2) = e, positive root in cancellation-free form
-        t = 2.0 * (e / m) / (a + math.sqrt(a * a + 2.0 * c * e / m))
-    else:
-        # zero hazard until the ramp reaches the threshold at (theta-x)/c
-        t = -a / c + math.sqrt(2.0 * e / (m * c))
-    return t if t > 0.0 else _TINY
+    return phi.invert(x, c, e)
 
 
 def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
@@ -103,13 +83,6 @@ def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
         return math.inf
     t = -math.log(arg) / alpha
     return t if t > 0.0 else _TINY
-
-
-def sample_primary_time(phi: PhiSpec, x: float, c: float, rng: np.random.Generator) -> float:
-    """One draw of the primary clock from stress level x.  Always finite."""
-    if not c > 0:
-        raise ValueError("c must be > 0")
-    return primary_time_from_exponential(phi, x, c, rng.standard_exponential())
 
 
 def sample_secondary_time(y: float, alpha: float, rng: np.random.Generator) -> float:
@@ -163,18 +136,10 @@ def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Genera
 
 
 def primary_times_from_exponentials(phi: PhiSpec, x: float, c: float, e: np.ndarray) -> np.ndarray:
-    """Vectorised primary inversion applied to given unit exponentials."""
+    """Vectorised primary inversion applied to given unit exponentials
+    (`phi.invert_many`)."""
     e = np.maximum(np.asarray(e, dtype=float), _TINY)
-    if isinstance(phi, ExponentialPhi):
-        s = phi.scale
-        sc = s * c
-        w = np.log(sc * e) - s * x
-        return np.maximum(np.logaddexp(0.0, w) / sc, _TINY)
-    m, theta = phi.slope, phi.theta
-    a = x - theta
-    if a >= 0.0:
-        return np.maximum(2.0 * (e / m) / (a + np.sqrt(a * a + 2.0 * c * e / m)), _TINY)
-    return np.maximum(-a / c + np.sqrt(2.0 * e / (m * c)), _TINY)
+    return phi.invert_many(x, c, e)
 
 
 def sample_secondary_times(y: float, alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:

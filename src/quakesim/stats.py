@@ -37,10 +37,19 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
+def _can_fail(name: str, threshold: float, alpha: float) -> float:
+    """`threshold`, unless it is >= 1: a KS distance never exceeds 1, so a
+    check against such a threshold would pass on no evidence."""
+    if threshold >= 1.0:
+        raise ValueError(f"{name} {threshold:.4g} at alpha={alpha} is >= 1, so the check cannot fail")
+    return threshold
+
+
 def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sided rejection threshold at level alpha."""
+    """Asymptotic two-sided rejection threshold at level alpha; a ValueError
+    when it is >= 1 (samples too small for the test to reject)."""
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((n + m) / (n * m))
+    return _can_fail("KS critical value", c * math.sqrt((n + m) / (n * m)), alpha)
 
 
 def dominance_violation(hi: np.ndarray, lo: np.ndarray) -> float:
@@ -62,9 +71,10 @@ def dominance_violation(hi: np.ndarray, lo: np.ndarray) -> float:
 
 def one_sided_band(n: int, m: int, alpha: float = 0.01) -> float:
     """One-sided KS band: violations below this are consistent with the
-    ordering holding exactly, at level alpha."""
+    ordering holding exactly, at level alpha.  A ValueError when it is >= 1
+    (samples too small for the check to fail)."""
     c = math.sqrt(-math.log(alpha) / 2.0)
-    return c * math.sqrt((n + m) / (n * m))
+    return _can_fail("one-sided KS band", c * math.sqrt((n + m) / (n * m)), alpha)
 
 
 class MeanCI(NamedTuple):

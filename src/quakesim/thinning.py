@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import EventLog, _new_columns, _to_log
-from .model import ModelParams, State, phi_eval, z_sample
+from .model import ModelParams, State, phi_eval
 
 __all__ = ["simulate_thinning"]
 
@@ -88,7 +88,7 @@ def simulate_thinning(
                         f"thinning bound violated: lambda={lam_c} > bound={bound}"
                     )
                 if rng.random() * bound <= lam_c:
-                    z = z_sample(params.z, rng)
+                    z = params.z.draw(rng)
                     t = t + s
                     x = xc - z
                     y = yc + k

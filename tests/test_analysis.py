@@ -162,6 +162,15 @@ class TestConvergence:
         with pytest.raises(ValueError, match="replications must be >= 1"):
             convergence_diagnostic(ref_params, origin, origin, [1.0], replications, np.random.default_rng(87))
 
+    def test_refuses_replications_whose_critical_value_reaches_one(self, ref_params, origin):
+        # at alpha 0.01 the critical value is 2.30 at 1 replication, 1.03 at
+        # 5 and first below 1 at 6; a KS distance never exceeds 1
+        for replications, value in ((1, "2.302"), (5, "1.029")):
+            with pytest.raises(ValueError, match=f"KS critical value {value} at alpha=0.01 is >= 1"):
+                convergence_diagnostic(ref_params, origin, origin, [1.0], replications, np.random.default_rng(87))
+        rep = convergence_diagnostic(ref_params, origin, origin, [1.0], 6, np.random.default_rng(87))
+        assert rep.points[0].threshold < 1.0
+
 
 class TestDominanceOp:
     @pytest.mark.parametrize(
@@ -190,6 +199,26 @@ class TestDominanceOp:
             dominance_test(ref_params, "nope", 0.0, 1.0, 100, np.random.default_rng(92))
         with pytest.raises(ValueError, match="param_low"):
             dominance_test(ref_params, "primary", 2.0, 1.0, 100, np.random.default_rng(93))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_needs_a_draw(self, ref_params, n):
+        rng = np.random.default_rng(94)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dominance_test(ref_params, "primary", 0.0, 2.0, n, rng)
+        assert rng.bit_generator.state == before
+
+    def test_refuses_sizes_whose_band_reaches_one(self, ref_params):
+        # at alpha 0.01 the band is 2.15 at n = 1, 1.07 at n = 4 and first
+        # below 1 at n = 5; a KS violation never exceeds 1
+        for n, value in ((1, "2.146"), (4, "1.073")):
+            rng = np.random.default_rng(95)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"one-sided KS band {value} at alpha=0.01 is >= 1"):
+                dominance_test(ref_params, "primary", 0.0, 2.0, n, rng)
+            assert rng.bit_generator.state == before
+        rep = dominance_test(ref_params, "primary", 0.0, 2.0, 5, np.random.default_rng(95))
+        assert rep.band < 1.0
 
 
 class TestLemmaTable:

@@ -155,21 +155,6 @@ class TestSimulate:
         rate = log.event_count / log.horizon
         assert abs(rate - 0.5) < 0.02
 
-    def test_record_sink_streaming(self, ref_params, origin):
-        seen = []
-        log = simulate(
-            ref_params,
-            origin,
-            StopRule(max_events=20),
-            np.random.default_rng(51),
-            record_sink=seen.append,
-            keep_records=False,
-        )
-        assert log.records == []
-        assert len(seen) == 20
-        log2 = simulate(ref_params, origin, StopRule(max_events=20), np.random.default_rng(51))
-        assert seen == log2.records
-
     def test_stop_rule_validation(self):
         with pytest.raises(ValueError):
             StopRule()

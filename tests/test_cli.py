@@ -443,6 +443,35 @@ class TestFlags:
         assert run_command(argv) == 1
         assert capsys.readouterr().err == "error: replications must be >= 1\n"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_dominance_without_draws_exit_one(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dom.json"
+        assert run_command(["dominance", "--config", str(cfg), "--out", str(out), "--n", n]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+    def test_dominance_band_of_one_or_more_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "dom.json"
+        assert run_command(["dominance", "--config", str(cfg), "--out", str(out), "--n", "1"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: one-sided KS band 2.146 at alpha=0.01 is >= 1") and err.count("\n") == 1
+        assert run_command(["dominance", "--config", str(cfg), "--out", str(out), "--n", "5"]) == 0
+        assert json.loads(out.read_text())["orderings"][0]["band"] < 1.0
+
+    def test_converge_critical_value_of_one_or_more_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ks.csv"
+        argv = ["converge", "--config", str(cfg), "--t-grid", "5", "--out", str(out), "--replications"]
+        assert run_command([*argv, "1"]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: KS critical value 2.302 at alpha=0.01 is >= 1") and err.count("\n") == 1
+        assert run_command([*argv, "6"]) == 0
+        assert float(next(csv.DictReader(out.read_text().splitlines()))["threshold"]) < 1.0
+
     def test_lemma_l2_single_draw_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "table.json"

@@ -1,4 +1,5 @@
-"""The package's module graph has no import cycles.
+"""The package's module graph has no import cycles, and each phi family and
+stress-drop law is one class that carries its own formulas.
 
 Imports are read from the source with ast, so imports inside functions
 count as well as module-level ones: a function-level import only hides a
@@ -9,6 +10,10 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quakesim"
+
+VARIANTS = {"ExponentialPhi", "ThresholdLinearPhi", "ExponentialZ", "UniformZ", "DeterministicZ"}
+# model defines the variants, cli's config schema builds them, __init__ exports them
+MAY_NAME_VARIANTS = {"model", "cli", "__init__"}
 
 
 def import_graph(package: Path) -> dict[str, set[str]]:
@@ -78,3 +83,38 @@ def test_cycle_finder_sees_function_level_imports(tmp_path):
     (pkg / "a.py").write_text("from .b import f\n")
     (pkg / "b.py").write_text("def f():\n    from .a import g\n")
     assert find_cycle(import_graph(pkg)) == ["a", "b", "a"]
+
+
+def variant_dispatch(package: Path) -> list[str]:
+    """Each `isinstance` test against a variant class, and each import or
+    attribute use of one outside MAY_NAME_VARIANTS, as "module: what"."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module, named = path.stem, path.stem in MAY_NAME_VARIANTS
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+                found += [f"{module}: isinstance(..., {name})" for name in sorted(names & VARIANTS)]
+            elif isinstance(node, ast.ImportFrom) and not named:
+                found += [f"{module}: imports {a.name}" for a in node.names if a.name in VARIANTS]
+            elif isinstance(node, ast.Attribute) and node.attr in VARIANTS and not named:
+                found.append(f"{module}: uses {node.attr}")
+    return found
+
+
+def test_variants_carry_their_own_formulas():
+    assert variant_dispatch(PACKAGE) == []
+
+
+def test_variant_guard_sees_dispatch(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    (pkg / "model.py").write_text("def f(z):\n    return isinstance(z, (UniformZ, int))\n")
+    (pkg / "sampler.py").write_text("from .model import ExponentialPhi, State\n")
+    (pkg / "foster.py").write_text("from . import model\n\ndef g(phi):\n    return phi == model.ThresholdLinearPhi()\n")
+    (pkg / "cli.py").write_text("from .model import DeterministicZ\n")
+    assert variant_dispatch(pkg) == [
+        "foster: uses ThresholdLinearPhi",
+        "model: isinstance(..., UniformZ)",
+        "sampler: imports ExponentialPhi",
+    ]

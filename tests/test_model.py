@@ -18,11 +18,7 @@ from quakesim import (
     intensity,
     intensity_saturated,
     phi_eval,
-    z_mean,
-    z_sample,
-    z_samples,
 )
-from quakesim.model import z_cz_metadata, z_tail_mean_above
 
 
 class TestPhi:
@@ -158,6 +154,18 @@ class TestCumulativeHazard:
         arr = cumulative_hazard_primary(ExponentialPhi(1.0), np.array([-800.0, 0.0]), 1.0, np.array([800.5, 1.0]))
         assert arr[0] == value and arr[1] == cumulative_hazard_primary(ExponentialPhi(1.0), 0.0, 1.0, 1.0)
 
+    def test_segment_whose_factors_round_to_tiny_times_inf(self):
+        # exp(s*x) is subnormal, not 0, while expm1(s*c*t) overflows: the
+        # plain product is inf, the integral exp(0.5)*(1 - exp(-720.5))
+        value = cumulative_hazard_primary(ExponentialPhi(1.0), -720.0, 1.0, 720.5)
+        assert value == pytest.approx(math.exp(0.5), rel=1e-12)
+
+    def test_short_segment_at_overflowing_stress(self):
+        # exp(s*x) overflows, expm1(s*c*t) = 1e-10: the integral is finite
+        value = cumulative_hazard_primary(ExponentialPhi(1.0), 710.0, 1.0, 1e-10)
+        assert value == pytest.approx(math.exp(710.0 + math.log(1e-10)), rel=1e-9)
+        assert cumulative_hazard_primary(ExponentialPhi(1.0), 710.0, 1.0, 1.0) == math.inf
+
     def test_empty_segment_at_overflowing_stress(self):
         # exp(s*x) overflows, expm1(0) = 0: the integral over [0, 0] is 0
         assert cumulative_hazard_primary(ExponentialPhi(1.0), 800.0, 1.0, 0.0) == 0.0
@@ -170,16 +178,23 @@ class TestCumulativeHazard:
         c=st.floats(0.01, 10.0),
         xt=st.lists(st.tuples(st.floats(-2000.0, 2000.0), st.floats(0.0, 2000.0)), min_size=1, max_size=8),
     )
-    def test_values_that_were_not_nan_keep_their_bits(self, s, c, xt):
-        # the plain closed form, where it is not NaN, is the reference:
-        # rate estimates built on it must not move by a single bit
+    def test_finite_values_keep_their_bits(self, s, c, xt):
+        # the plain closed form, where it is finite, is the reference: rate
+        # estimates built on it must not move by a single bit.  Where it is
+        # inf (a product with an overflowed factor), the integral is
+        # exp(s*x + log(expm1(s*c*t)))/(s*c), inf only when that overflows
         x, t = (np.array(v) for v in zip(*xt))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             before = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
+            y = s * c * t
+            log_em1 = np.where(y > 30.0, y + np.log1p(-np.exp(-y)), np.log(np.expm1(y)))
+            reference = np.exp(s * x + log_em1 - math.log(s * c))
         after = cumulative_hazard_primary(ExponentialPhi(s), x, c, t)
         assert not np.isnan(after).any()
-        kept = ~np.isnan(before)
+        kept = np.isfinite(before)
         assert after[kept].tobytes() == before[kept].tobytes()
+        over = np.isinf(before)
+        np.testing.assert_allclose(after[over], reference[over], rtol=1e-9)
         scalar = cumulative_hazard_primary(ExponentialPhi(s), float(x[0]), c, float(t[0]))
         assert np.float64(scalar).tobytes() == after[0].tobytes()
 
@@ -187,38 +202,38 @@ class TestCumulativeHazard:
 class TestZ:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        assert z_sample(DeterministicZ(2.0), rng) == 2.0
+        assert DeterministicZ(2.0).draw(rng) == 2.0
 
     def test_exponential_mean_lln(self):
         rng = np.random.default_rng(2)
-        draws = z_samples(ExponentialZ(2.0), rng, 1_000_000)
+        draws = ExponentialZ(2.0).draws(rng, 1_000_000)
         assert abs(float(np.mean(draws)) - 2.0) < 0.01
         assert np.all(draws > 0.0)
 
     def test_uniform_mean_lln(self):
         rng = np.random.default_rng(3)
-        draws = z_samples(UniformZ(1.0, 3.0), rng, 1_000_000)
+        draws = UniformZ(1.0, 3.0).draws(rng, 1_000_000)
         assert abs(float(np.mean(draws)) - 2.0) < 0.01
         assert np.all(draws > 0.0)
 
     def test_scalar_matches_batch_law(self):
         rng = np.random.default_rng(4)
-        scalars = np.array([z_sample(ExponentialZ(2.0), rng) for _ in range(20_000)])
-        batch = z_samples(ExponentialZ(2.0), np.random.default_rng(5), 20_000)
+        scalars = np.array([ExponentialZ(2.0).draw(rng) for _ in range(20_000)])
+        batch = ExponentialZ(2.0).draws(np.random.default_rng(5), 20_000)
         from scipy.stats import ks_2samp
 
         assert ks_2samp(scalars, batch).pvalue > 1e-4
 
     def test_means(self):
-        assert z_mean(ExponentialZ(2.0)) == 2.0
-        assert z_mean(UniformZ(1.0, 3.0)) == 2.0
-        assert z_mean(DeterministicZ(3.5)) == 3.5
+        assert ExponentialZ(2.0).expectation() == 2.0
+        assert UniformZ(1.0, 3.0).expectation() == 2.0
+        assert DeterministicZ(3.5).expectation() == 3.5
 
     def test_cz_metadata(self):
-        assert z_cz_metadata(ExponentialZ(2.0)) is not None
-        assert z_cz_metadata(UniformZ(0.0, 1.0)) == (0.0, 1.0, 1.0)
-        assert z_cz_metadata(DeterministicZ(1.0)) is None
-        z1, z2, h = z_cz_metadata(ExponentialZ(2.0))
+        assert ExponentialZ(2.0).density_floor() is not None
+        assert UniformZ(0.0, 1.0).density_floor() == (0.0, 1.0, 1.0)
+        assert DeterministicZ(1.0).density_floor() is None
+        z1, z2, h = ExponentialZ(2.0).density_floor()
         # density really is above h on [z1, z2]
         grid = np.linspace(z1, z2, 100)
         dens = np.exp(-grid / 2.0) / 2.0
@@ -235,10 +250,10 @@ class TestZ:
             (DeterministicZ(2.0), 1.0),
             (DeterministicZ(2.0), 3.0),
         ]:
-            draws = z_samples(z, rng, 400_000)
+            draws = z.draws(rng, 400_000)
             mc = float(np.mean(np.maximum(draws - x0, 0.0)))
             se = float(np.std(np.maximum(draws - x0, 0.0)) / math.sqrt(draws.size))
-            assert abs(z_tail_mean_above(z, x0) - mc) <= max(4.0 * se, 1e-12)
+            assert abs(z.tail_mean_above(x0) - mc) <= max(4.0 * se, 1e-12)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakesim import (
     ExponentialPhi,
@@ -10,6 +12,7 @@ from quakesim import (
     State,
     ThresholdLinearPhi,
     cumulative_hazard_numeric,
+    cumulative_hazard_primary,
     sample_interevent,
     sample_interevent_truncated,
     sample_primary_times,
@@ -108,6 +111,40 @@ class TestPrimaryInversion:
                 p = primary_survival(phi, x, c, float(t))
                 se = math.sqrt(max(p * (1 - p), 1e-12) / n)
                 assert abs(float(np.mean(draws > t)) - p) <= 3.0 * se + 1e-9
+
+
+# Both phi families.  Exponential scales start at 0.5: near x = 700/s a
+# wait for e = 1e-12 is subnormal, resolved to 5e-324/T relative, and
+# s*c >= 0.15 keeps that below 1e-6 with room.
+_PHIS = st.one_of(
+    st.builds(ExponentialPhi, st.floats(0.5, 3.0)),
+    st.builds(ThresholdLinearPhi, st.floats(-5.0, 5.0), st.floats(0.1, 3.0)),
+)
+_C = st.floats(0.3, 3.0)
+_E = st.floats(1e-12, 50.0)
+
+
+class TestHazardRoundTrip:
+    """The hazard and the inversion of each phi family undo each other."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(phi=_PHIS, u=st.floats(0.0, 1.0), c=_C, e=_E)
+    def test_hazard_of_inverted_wait_is_e(self, phi, u, c, e):
+        top = 700.0 / phi.scale if isinstance(phi, ExponentialPhi) else 700.0
+        x = -1e3 + u * (top + 1e3)
+        t = primary_time_from_exponential(phi, x, c, e)
+        assert cumulative_hazard_primary(phi, x, c, t) == pytest.approx(e, rel=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=_PHIS, x=st.floats(-1e307, -1e3), c=_C, e=_E)
+    def test_deep_stress_stays_finite(self, phi, x, c, e):
+        # beyond |x| ~ 1e6 the float T cannot resolve x + c*T, so only
+        # finiteness and scalar/array agreement are asked for here
+        t = primary_time_from_exponential(phi, x, c, e)
+        assert 0.0 < t < math.inf
+        assert not math.isnan(cumulative_hazard_primary(phi, x, c, t))
+        vec = primary_times_from_exponentials(phi, x, c, np.array([e]))
+        assert vec[0] == pytest.approx(t, rel=1e-12)
 
 
 class TestSecondaryInversion:

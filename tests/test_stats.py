@@ -77,6 +77,15 @@ class TestDominance:
         b = rng.exponential(size=n)
         assert dominance_violation(a, b) <= one_sided_band(n, n, alpha=0.001)
 
+    def test_thresholds_a_ks_distance_cannot_exceed_are_refused(self):
+        # a KS distance is at most 1, so a band or critical value >= 1 is
+        # a check that cannot fail
+        with pytest.raises(ValueError, match="one-sided KS band 2.146 at alpha=0.01 is >= 1"):
+            one_sided_band(1, 1)
+        with pytest.raises(ValueError, match="KS critical value 2.302 at alpha=0.01 is >= 1"):
+            ks_critical_value(1, 1)
+        assert one_sided_band(5, 5) < 1.0 and ks_critical_value(6, 6) < 1.0
+
     def test_band_formula(self):
         # one-sided asymptotic band: sqrt(-ln(alpha)/2) * sqrt((n+m)/nm)
         assert one_sided_band(100, 100, alpha=0.01) == pytest.approx(

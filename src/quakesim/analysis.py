@@ -29,10 +29,8 @@ from .sampler import sample_primary_times, sample_secondary_times
 from .stats import batch_se, dominance_violation, ks_critical_value, ks_two_sample, one_sided_band
 
 __all__ = [
-    "Regime",
     "RegimeError",
     "InsufficientDataError",
-    "regime",
     "theoretical_rate",
     "SummaryStats",
     "estimate_rates",

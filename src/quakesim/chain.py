@@ -9,13 +9,14 @@ y*exp(-alpha*dt)).  At an event after a wait of T the post-event state is
 The natural chain records every event; the truncated chain additionally
 caps the wait at v0 whenever the stress is at or below a (very negative)
 level x1, producing "phantom" transitions that advance time without an
-event.  Phantoms are logged with is_event False (kind="truncation_phantom"
-in the record view) and excluded from all event counts and rate estimates.
+event.  Phantoms are logged with is_event False and excluded from all
+event counts and rate estimates.
 
 One transition kernel (`_kernel`) makes every step of both chains, moving
-a mutable position in place; `simulate`, `step_natural`, `step_truncated`
-and `foster.return_times` all run it.  A trajectory is an `EventLog` of
-columns, one float64 array per field and a boolean event mask.
+a mutable position in place; `simulate`, `step` (one transition from a
+`State`) and `foster.return_times` all run it.  A trajectory is an
+`EventLog` of columns, one float64 array per field and a boolean event
+mask.
 
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
@@ -38,11 +39,9 @@ from .sampler import sample_interevent, sample_interevent_truncated
 
 __all__ = [
     "EARLY_STOPS",
-    "EventRecord",
     "EventLog",
     "StopRule",
-    "step_natural",
-    "step_truncated",
+    "step",
     "simulate",
     "flow",
     "state_at",
@@ -51,38 +50,11 @@ __all__ = [
     "window_integrals",
 ]
 
-KIND_EVENT = "event"
-KIND_PHANTOM = "truncation_phantom"
-
 # terminated_reason of a run that stopped before its StopRule, and the cause
 EARLY_STOPS = {"saturation": "intensity saturation", "time_resolution": "float time resolution"}
 
 # the float64 columns of an EventLog, in order; `is_event` follows them
 FLOAT_COLUMNS = ("t", "dt", "x", "y", "z", "lambda_pre")
-
-
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    """One transition of the embedded chain.
-
-    n          1-based position in the log (phantoms included)
-    t          absolute transition time
-    dt         wait since the previous transition (> 0)
-    kind       "event" or "truncation_phantom"
-    x_post     stress level just after the transition
-    y_post     aftershock residual just after the transition
-    z          stress relieved (0 for phantoms)
-    lambda_pre intensity immediately before the transition
-    """
-
-    n: int
-    t: float
-    dt: float
-    kind: str
-    x_post: float
-    y_post: float
-    z: float
-    lambda_pre: float
 
 
 @dataclass(frozen=True)
@@ -135,27 +107,6 @@ class EventLog:
     z: np.ndarray
     lambda_pre: np.ndarray
     is_event: np.ndarray
-
-    @classmethod
-    def from_records(
-        cls, params: ModelParams, initial: State, records: list[EventRecord], horizon: float, terminated_reason: str
-    ) -> EventLog:
-        """A log whose columns hold `records` (their `n` is implied by order)."""
-        fields = ("t", "dt", "x_post", "y_post", "z", "lambda_pre")
-        floats = [np.array([getattr(r, f) for r in records], dtype=float) for f in fields]
-        is_event = np.array([r.kind == KIND_EVENT for r in records], dtype=bool)
-        return cls(params, initial, horizon, terminated_reason, *floats, is_event)
-
-    @cached_property
-    def records(self) -> list[EventRecord]:
-        """The transitions as `EventRecord`s, built from the columns on first
-        use; nothing in the package reads them."""
-        kinds = (KIND_PHANTOM, KIND_EVENT)
-        columns = [getattr(self, name).tolist() for name in FLOAT_COLUMNS]
-        return [
-            EventRecord(n, t, dt, kinds[e], x, y, z, lam)
-            for n, (t, dt, x, y, z, lam, e) in enumerate(zip(*columns, self.is_event.tolist()), 1)
-        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
@@ -224,21 +175,20 @@ def _kernel(
     """The transition function of the natural chain (`truncated` None) or the
     truncated embedding, drawing from `rng`.
 
-    `step(pos)` moves `pos` to the post-transition state and returns
+    `transition(pos)` moves `pos` to the post-transition state and returns
     (dt, z, lambda_pre, is_event).  The wait comes from `sample_interevent`
     (a unit exponential, then a uniform) or, for the truncated chain, from
     `sample_interevent_truncated`, whose wait capped at v0 below x1 is a
     phantom: pure flow, z = 0.  A stress drop is drawn only for an event.
     """
     phi, draw, c, k, alpha = params.phi, params.z.draw, params.c, params.k, params.alpha
-    v0, x1 = (truncated.v0, truncated.x1) if truncated is not None else (None, None)
     exp, inf = math.exp, math.inf
 
-    def step(pos: _Position) -> tuple[float, float, float, bool]:
-        if v0 is None:
+    def transition(pos: _Position) -> tuple[float, float, float, bool]:
+        if truncated is None:
             dt, event = sample_interevent(params, pos, rng), True
         else:
-            dt, event = sample_interevent_truncated(params, pos, v0, x1, rng)
+            dt, event = sample_interevent_truncated(params, pos, truncated, rng)
         decay = exp(-alpha * dt)
         x = pos.x + c * dt
         y = pos.y * decay
@@ -253,33 +203,21 @@ def _kernel(
         pos.x, pos.y = x, y
         return dt, z, lam, event
 
-    return step
+    return transition
 
 
-def _step(
-    params: ModelParams, state: State, truncated: Optional[FosterConfig], rng: np.random.Generator
-) -> tuple[EventRecord, State]:
+def step(
+    params: ModelParams, state: State, rng: np.random.Generator, truncated: Optional[FosterConfig] = None
+) -> tuple[State, float, float, float, bool]:
+    """One transition from `state`, of the natural chain or, with
+    `truncated` set, of the truncated embedding (as in `simulate`).
+
+    Returns (post-transition state, dt, z, lambda_pre, is_event), drawing
+    from `rng` exactly as the matching step of `simulate` does.
+    """
     pos = _Position(state.x, state.y)
     dt, z, lam, event = _kernel(params, truncated, rng)(pos)
-    kind = KIND_EVENT if event else KIND_PHANTOM
-    return EventRecord(0, 0.0, dt, kind, pos.x, pos.y, z, lam), State(pos.x, pos.y)
-
-
-def step_natural(
-    params: ModelParams, state: State, rng: np.random.Generator
-) -> tuple[EventRecord, State]:
-    """One natural transition; returns the record core (n and t zeroed) and
-    the post-event state."""
-    return _step(params, state, None, rng)
-
-
-def step_truncated(
-    params: ModelParams, state: State, foster: FosterConfig, rng: np.random.Generator
-) -> tuple[EventRecord, State]:
-    """One transition of the truncated embedding.  Identical in law to
-    `step_natural` when x > x1; below x1 a wait capped at v0 becomes a
-    phantom transition with no stress drop and no aftershock jump."""
-    return _step(params, state, foster, rng)
+    return State(pos.x, pos.y), dt, z, lam, event
 
 
 def _new_columns() -> tuple[list[array], bytearray]:
@@ -305,14 +243,14 @@ def simulate(
     """Simulate one trajectory of the embedded chain.
 
     With `truncated` set, transitions follow the truncated embedding and
-    phantom records may appear.
+    phantom rows may appear.
 
     Two conditions stop the run early: a saturated intensity (at
     params.intensity_cap) gives terminated_reason="saturation", and a wait
     below the float resolution of the clock gives "time_resolution".  See
     `EventLog` for all four reasons.
     """
-    step = _kernel(params, truncated, rng)
+    transition = _kernel(params, truncated, rng)
     pos = _Position(initial.x, initial.y)
     max_events = math.inf if stop.max_events is None else stop.max_events
     horizon = math.inf if stop.horizon is None else stop.horizon
@@ -328,7 +266,7 @@ def simulate(
         if intensity_saturated(params, pos):
             reason = "saturation"
             break
-        dt, z, lam, event = step(pos)
+        dt, z, lam, event = transition(pos)
         if t + dt > horizon:
             reason = "horizon_reached"
             break

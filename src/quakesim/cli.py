@@ -436,15 +436,21 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return EXIT_EARLY_STOP if _early_stop(logs) else EXIT_OK
 
 
+def _numbers(flag: str, text: str, names: Optional[str] = None) -> list[float]:
+    """The comma-separated numbers of a list flag: as many as `names`
+    ("x,y") names, or any count when it is None."""
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        values = []  # split gives at least one part, so empty means unparsed
+    if not values or (names is not None and len(values) != names.count(",") + 1):
+        raise ConfigError([f"{flag}: expected {names or 'comma-separated numbers'}, got {text!r}"])
+    return values
+
+
 def _foster_config(cfg: RunConfig, weights: str) -> foster.FosterConfig:
     """The drift construction for `--weights r1,r2,r3`."""
-    parts = weights.split(",")
-    if len(parts) != 3:
-        raise ConfigError(["--weights: expected r1,r2,r3"])
-    try:
-        r1, r2, r3 = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError([f"--weights: expected three numbers, got {weights!r}"]) from None
+    r1, r2, r3 = _numbers("--weights", weights, "r1,r2,r3")
     return foster.foster_params(cfg.model, r1, r2, r3, rng=substream(cfg.seed, 0))
 
 
@@ -478,10 +484,7 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     config = _foster_config(cfg, args.weights)
     if args.states:
-        states = []
-        for part in args.states.split(";"):
-            xs, ys = part.split(",")
-            states.append(State(float(xs), float(ys)))
+        states = [State(*_numbers("--states", part, "x,y")) for part in args.states.split(";")]
     else:
         states = default_drift_grid(config)
     rows = []
@@ -494,10 +497,10 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    xb, yb = (float(v) for v in args.init_b.split(","))
-    grid = [float(v) for v in args.t_grid.split(",")]
+    init_b = State(*_numbers("--init-b", args.init_b, "x,y"))
+    grid = _numbers("--t-grid", args.t_grid)
     report = analysis.convergence_diagnostic(
-        cfg.model, cfg.initial, State(xb, yb), grid, args.replications, substream(cfg.seed, 0)
+        cfg.model, cfg.initial, init_b, grid, args.replications, substream(cfg.seed, 0)
     )
     points = [_record(p, "below") for p in report.points]
     _emit(args.out, {**asdict(report), "points": points}, args.format, table="points")
@@ -524,7 +527,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 def _cmd_lemma_l2(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    grid = [float(v) for v in args.y_grid.split(",")]
+    grid = _numbers("--y-grid", args.y_grid)
     rows = [
         {"y": r.y, "mc": r.mc_value, "se": r.mc_se, "exact": r.exact}
         for r in analysis.lemma_l2_check(cfg.model.alpha, grid, args.n, substream(cfg.seed, 0))
@@ -689,7 +692,7 @@ def run_command(argv: Sequence[str]) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, foster.FosterInfeasibleError) as e:
+    except (ValueError, MemoryError, foster.FosterInfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

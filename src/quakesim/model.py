@@ -106,7 +106,11 @@ class ExponentialPhi:
                 # overflowing stress.  Add the exponents in log space
                 # instead, which is inf only where the integral overflows.
                 # inf*0: an empty segment (t == 0) at overflowing stress.
-                logs = np.exp(s * (x + c * t) + np.log(-np.expm1(-s * c * t))) / (s * c)
+                # Where the exponential alone overflows but the quotient
+                # does not, divide by s*c in log space too.
+                log_out = s * (x + c * t) + np.log(-np.expm1(-s * c * t))
+                logs = np.exp(log_out) / (s * c)
+                logs = np.where(np.isinf(logs), np.exp(log_out - math.log(s * c)), logs)
                 out = np.where(bad, np.where(t == 0, 0.0, logs), out)
         return out
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .foster_config import FosterConfig
 from .model import _TINY, ModelParams, PhiSpec, State, cumulative_hazard_primary
 
 __all__ = [
@@ -108,26 +109,22 @@ def sample_interevent(params: ModelParams, state: State, rng: np.random.Generato
 def sample_interevent_truncated(
     params: ModelParams,
     state: State,
-    v0: float,
-    x1: float,
+    config: FosterConfig,
     rng: np.random.Generator,
 ) -> TruncatedDraw:
     """Waiting time of the truncated embedding.
 
-    Below the stress threshold x1 the wait is capped at v0; a capped draw
-    is a phantom transition, not an event of the point process.  Above x1
-    the draw is the natural one.
+    Below the stress threshold config.x1 the wait is capped at config.v0; a
+    capped draw is a phantom transition, not an event of the point process.
+    Above x1 the draw is the natural one.  `FosterConfig` guarantees
+    v0 > 0 and x1 < 0, both finite.
     """
-    if not v0 > 0:
-        raise ValueError("v0 must be > 0")
-    if not x1 < 0:
-        raise ValueError("x1 must be < 0")
     t = sample_interevent(params, state, rng)
-    if state.x > x1:
+    if state.x > config.x1:
         return TruncatedDraw(t, True)
-    if t <= v0:
+    if t <= config.v0:
         return TruncatedDraw(t, True)
-    return TruncatedDraw(v0, False)
+    return TruncatedDraw(config.v0, False)
 
 
 def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Generator, n: int) -> np.ndarray:

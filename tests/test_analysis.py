@@ -81,7 +81,8 @@ class TestEstimateRates:
         assert abs(resid) <= 4.0 * st.diagnostics["balance_residual_se"]
 
     def test_empty_log_raises(self, ref_params, origin):
-        log = EventLog.from_records(ref_params, origin, [], 0.0, "event_budget")
+        empty = np.empty(0)
+        log = EventLog(ref_params, origin, 0.0, "event_budget", *[empty] * 6, np.empty(0, dtype=bool))
         with pytest.raises(InsufficientDataError, match="insufficient data"):
             estimate_rates(log)
 

@@ -5,7 +5,6 @@ import pytest
 
 from quakesim import (
     EventLog,
-    EventRecord,
     ExponentialZ,
     FosterConfig,
     ModelParams,
@@ -21,12 +20,10 @@ from quakesim import (
     master,
     simulate,
     state_at,
-    step_natural,
-    step_truncated,
+    step,
     substream,
     window_integrals,
 )
-from quakesim.chain import KIND_EVENT, KIND_PHANTOM
 from quakesim.stats import ks_two_sample
 
 
@@ -48,26 +45,24 @@ class TestStepAlgebra:
     def test_per_record_algebra_exact(self, ref_params, origin):
         rng = np.random.default_rng(40)
         log = simulate(ref_params, origin, StopRule(horizon=500.0), rng)
-        assert log.records
+        assert log.t.size
         x_prev, y_prev = origin.x, origin.y
-        for r in log.records:
-            assert r.x_post == pytest.approx(x_prev + ref_params.c * r.dt - r.z, abs=1e-12)
-            assert r.y_post == pytest.approx(
-                y_prev * math.exp(-ref_params.alpha * r.dt) + ref_params.k, abs=1e-12
-            )
-            x_prev, y_prev = r.x_post, r.y_post
+        for dt, x, y, z in zip(log.dt.tolist(), log.x.tolist(), log.y.tolist(), log.z.tolist()):
+            assert x == pytest.approx(x_prev + ref_params.c * dt - z, abs=1e-12)
+            assert y == pytest.approx(y_prev * math.exp(-ref_params.alpha * dt) + ref_params.k, abs=1e-12)
+            x_prev, y_prev = x, y
 
     def test_y_floor_after_events(self, ref_params, origin):
         rng = np.random.default_rng(41)
         log = simulate(ref_params, origin, StopRule(max_events=500), rng)
-        for r in log.records:
-            assert r.y_post >= ref_params.k
+        for y in log.y.tolist():
+            assert y >= ref_params.k
 
     def test_first_step_marginal_matches_primary(self, ref_params, origin):
         # from y = 0 the second clock is off, so the first wait has the
         # primary-clock law
         rng = np.random.default_rng(42)
-        waits = np.array([step_natural(ref_params, origin, rng)[0].dt for _ in range(30_000)])
+        waits = np.array([step(ref_params, origin, rng)[1] for _ in range(30_000)])
         from quakesim import sample_primary_times
 
         ref = sample_primary_times(ref_params.phi, 0.0, 1.0, np.random.default_rng(43), 30_000)
@@ -99,7 +94,7 @@ class TestFlow:
 class TestSimulate:
     def test_zero_budget(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(max_events=0), np.random.default_rng(44))
-        assert log.records == []
+        assert log.t.size == 0
         assert log.horizon == 0.0
         assert log.terminated_reason == "event_budget"
 
@@ -107,33 +102,32 @@ class TestSimulate:
         log = simulate(ref_params, origin, StopRule(max_events=50), np.random.default_rng(45))
         assert log.event_count == 50
         assert log.terminated_reason == "event_budget"
-        assert log.horizon == log.records[-1].t
+        assert log.horizon == log.t[-1]
 
     def test_horizon(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=100.0), np.random.default_rng(46))
         assert log.terminated_reason == "horizon_reached"
         assert log.horizon == 100.0
-        assert all(r.t <= 100.0 for r in log.records)
+        assert all(t <= 100.0 for t in log.t.tolist())
 
     def test_times_strictly_increase(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=200.0), np.random.default_rng(47))
-        times = [r.t for r in log.records]
+        times = log.t.tolist()
         assert all(a < b for a, b in zip(times, times[1:]))
-        assert all(r.dt > 0 for r in log.records)
-        assert [r.n for r in log.records] == list(range(1, len(times) + 1))
+        assert all(dt > 0 for dt in log.dt.tolist())
 
     def test_reproducible(self, ref_params, origin):
         stop = StopRule(horizon=300.0)
         a = simulate(ref_params, origin, stop, np.random.default_rng(48))
         b = simulate(ref_params, origin, stop, np.random.default_rng(48))
-        assert a.records == b.records
+        assert a == b
         assert a.horizon == b.horizon
 
     def test_saturation_terminates(self, ref_params):
         # phi(40) = e^40 far exceeds the default cap
         log = simulate(ref_params, State(40.0, 0.0), StopRule(horizon=10.0), np.random.default_rng(49))
         assert log.terminated_reason == "saturation"
-        assert log.records == []
+        assert log.t.size == 0
 
     def test_time_resolution_is_not_saturation(self, ref_params):
         # two phantoms of length v0 ~ 4e304 carry the clock to ~8e304, where
@@ -141,7 +135,7 @@ class TestSimulate:
         cfg = foster_params(ref_params, 100.0, 10.0, 1.0, rng=substream(42, 0))
         log = simulate(ref_params, State(2.0 * cfg.x1, 1.0), StopRule(max_events=10), master(1), truncated=cfg)
         assert log.terminated_reason == "time_resolution"
-        assert log.records[-1].lambda_pre < ref_params.intensity_cap
+        assert log.lambda_pre[-1] < ref_params.intensity_cap
         # the segment integrals over that log stay finite
         assert math.isfinite(integrated_phi_x(log))
         stats = estimate_rates(log)
@@ -169,10 +163,10 @@ class TestTruncatedChain:
         params = ModelParams(1.0, 0.5, 1.0, ThresholdLinearPhi(0.0, 1.0), ExponentialZ(2.0))
         cfg = small_foster(v0=2.0, x1=-50.0)
         rng = np.random.default_rng(52)
-        rec, new = step_truncated(params, State(-100.0, 0.0), cfg, rng)
-        assert rec.kind == KIND_PHANTOM
-        assert rec.dt == cfg.v0
-        assert rec.z == 0.0
+        new, dt, z, _, is_event = step(params, State(-100.0, 0.0), rng, truncated=cfg)
+        assert not is_event
+        assert dt == cfg.v0
+        assert z == 0.0
         # indicator is zero on the phantom path: pure flow
         assert new.x == pytest.approx(-100.0 + params.c * cfg.v0, rel=1e-15)
         assert new.y == pytest.approx(0.0, abs=1e-15)
@@ -182,8 +176,8 @@ class TestTruncatedChain:
         state = State(0.0, 1.0)
         a = np.random.default_rng(53)
         b = np.random.default_rng(53)
-        rec_t, new_t = step_truncated(ref_params, state, cfg, a)
-        rec_n, new_n = step_natural(ref_params, state, b)
+        new_t, *rec_t = step(ref_params, state, a, truncated=cfg)
+        new_n, *rec_n = step(ref_params, state, b)
         assert rec_t == rec_n
         assert new_t == new_n
 
@@ -192,9 +186,9 @@ class TestTruncatedChain:
         cfg = small_foster()
         state = State(0.0, 1.0)
         rng = np.random.default_rng(54)
-        xs_t = np.array([step_truncated(ref_params, state, cfg, rng)[1].x for _ in range(20_000)])
+        xs_t = np.array([step(ref_params, state, rng, truncated=cfg)[0].x for _ in range(20_000)])
         rng2 = np.random.default_rng(55)
-        xs_n = np.array([step_natural(ref_params, state, rng2)[1].x for _ in range(20_000)])
+        xs_n = np.array([step(ref_params, state, rng2)[0].x for _ in range(20_000)])
         assert ks_two_sample(xs_t, xs_n) <= 1.63 * math.sqrt(2.0 / 20_000)
 
     def test_phantom_bookkeeping_in_log(self):
@@ -202,11 +196,10 @@ class TestTruncatedChain:
         cfg = small_foster(v0=5.0, x1=-20.0)
         rng = np.random.default_rng(56)
         log = simulate(params, State(-60.0, 0.0), StopRule(horizon=300.0), rng, truncated=cfg)
-        kinds = {r.kind for r in log.records}
-        assert KIND_PHANTOM in kinds and KIND_EVENT in kinds
-        phantoms = [r for r in log.records if r.kind == KIND_PHANTOM]
-        assert all(r.z == 0.0 and r.dt == cfg.v0 for r in phantoms)
-        assert log.event_count == len(log.records) - len(phantoms)
+        phantom = ~log.is_event
+        assert phantom.any() and log.is_event.any()
+        assert all(z == 0.0 and dt == cfg.v0 for z, dt in zip(log.z[phantom].tolist(), log.dt[phantom].tolist()))
+        assert log.event_count == log.t.size - np.count_nonzero(phantom)
         # integrals still well-defined with phantoms interleaved
         total = window_integrals(log, 0.0, log.horizon)
         assert total[0] == log.event_count
@@ -216,17 +209,17 @@ class TestTruncatedChain:
 class TestStateReconstruction:
     def test_state_at_transitions(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=50.0), np.random.default_rng(57))
-        for r in log.records[:20]:
-            s = state_at(log, r.t)
-            assert s.x == pytest.approx(r.x_post, abs=1e-12)
-            assert s.y == pytest.approx(r.y_post, abs=1e-12)
+        for t, x, y in zip(log.t[:20].tolist(), log.x[:20].tolist(), log.y[:20].tolist()):
+            s = state_at(log, t)
+            assert s.x == pytest.approx(x, abs=1e-12)
+            assert s.y == pytest.approx(y, abs=1e-12)
 
     def test_state_between_events_is_flow(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=50.0), np.random.default_rng(58))
-        r0, r1 = log.records[3], log.records[4]
-        mid = 0.5 * (r0.t + r1.t)
+        t0, t1 = log.t[3:5].tolist()
+        mid = 0.5 * (t0 + t1)
         s = state_at(log, mid)
-        expect = flow(ref_params, State(r0.x_post, r0.y_post), mid - r0.t)
+        expect = flow(ref_params, State(float(log.x[3]), float(log.y[3])), mid - t0)
         assert s.x == pytest.approx(expect.x, abs=1e-12)
         assert s.y == pytest.approx(expect.y, abs=1e-12)
 
@@ -235,7 +228,7 @@ class TestStateReconstruction:
         times = log.event_times
         for t in (0.0, 10.0, 25.0, 50.0):
             n = int(np.searchsorted(times, t, side="right"))
-            assert n == sum(1 for r in log.records if r.kind == KIND_EVENT and r.t <= t)
+            assert n == sum(1 for e, u in zip(log.is_event.tolist(), log.t.tolist()) if e and u <= t)
 
     def test_out_of_range(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=10.0), np.random.default_rng(60))
@@ -245,15 +238,18 @@ class TestStateReconstruction:
             state_at(log, 11.0)
 
 
-def _manual_log(params, initial, records, horizon):
-    return EventLog.from_records(params, initial, records, horizon, "horizon_reached")
+def _manual_log(params, initial, events, horizon, reason="horizon_reached"):
+    """A log whose transitions are the given events, rows of
+    (t, dt, x, y, z, lambda_pre)."""
+    columns = np.array(events, dtype=float).reshape(-1, 6).T.copy()
+    return EventLog(params, initial, horizon, reason, *columns, np.ones(len(events), dtype=bool))
 
 
 class TestIntegrals:
     def test_single_segment_y(self, ref_params):
         # integral of e^{-t} over [0, log 2] is 1/2
-        rec = EventRecord(1, math.log(2.0), math.log(2.0), KIND_EVENT, 0.0, 1.0, 1.0, 1.0)
-        log = _manual_log(ref_params, State(0.0, 1.0), [rec], math.log(2.0))
+        row = (math.log(2.0), math.log(2.0), 0.0, 1.0, 1.0, 1.0)
+        log = _manual_log(ref_params, State(0.0, 1.0), [row], math.log(2.0))
         assert integrated_y(log) == pytest.approx(0.5, rel=1e-12)
 
     def test_empty_log_zero_y(self, ref_params):
@@ -262,20 +258,20 @@ class TestIntegrals:
 
     def test_single_segment_phi(self, ref_params):
         oracle = cumulative_hazard_numeric(ref_params.phi, 0.0, 1.0, 1.0)
-        rec = EventRecord(1, 1.0, 1.0, KIND_EVENT, -1.0, 0.5, 2.0, math.e)
-        log = _manual_log(ref_params, State(0.0, 0.0), [rec], 1.0)
+        row = (1.0, 1.0, -1.0, 0.5, 2.0, math.e)
+        log = _manual_log(ref_params, State(0.0, 0.0), [row], 1.0)
         assert integrated_phi_x(log) == pytest.approx(oracle, rel=1e-9)
         assert integrated_phi_x(log) == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_zero_length_log(self, ref_params):
-        log = EventLog.from_records(ref_params, State(0.0, 0.0), [], 0.0, "event_budget")
+        log = _manual_log(ref_params, State(0.0, 0.0), [], 0.0, "event_budget")
         assert integrated_phi_x(log) == 0.0
         assert integrated_y(log) == 0.0
 
     def test_tail_segment_included(self, ref_params):
         # one event at t=1, horizon 3: the tail [1, 3] must contribute
-        rec = EventRecord(1, 1.0, 1.0, KIND_EVENT, 0.0, 2.0, 1.0, 1.0)
-        log = _manual_log(ref_params, State(0.0, 0.0), [rec], 3.0)
+        row = (1.0, 1.0, 0.0, 2.0, 1.0, 1.0)
+        log = _manual_log(ref_params, State(0.0, 0.0), [row], 3.0)
         tail = 2.0 * (1.0 - math.exp(-2.0)) / 1.0
         assert integrated_y(log) == pytest.approx(tail, rel=1e-12)
 

@@ -480,6 +480,35 @@ class TestFlags:
         assert not out.exists()
         assert "n must be >= 2" in capsys.readouterr().err
 
+    # 8e17 bytes per array: beyond any 57-bit address space, so the
+    # allocation is refused before a byte is touched
+    @pytest.mark.parametrize("command", [["dominance"], ["drift", "--states", "1,1"], ["lemma-l2"]])
+    def test_draw_count_beyond_memory_exit_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out.txt"
+        argv = [*command, "--config", str(cfg), "--out", str(out), "--n", str(10**17)]
+        assert run_command(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["drift", "--states", "1"], "--states: expected x,y, got '1'"),
+            (["drift", "--states", "a,1"], "--states: expected x,y, got 'a,1'"),
+            (["converge", "--init-b", "1"], "--init-b: expected x,y, got '1'"),
+            (["converge", "--t-grid", "5,x"], "--t-grid: expected comma-separated numbers, got '5,x'"),
+            (["lemma-l2", "--y-grid", "1,,"], "--y-grid: expected comma-separated numbers, got '1,,'"),
+            (["foster", "--weights", "1,2"], "--weights: expected r1,r2,r3, got '1,2'"),
+            (["foster", "--weights", "1,2,x"], "--weights: expected r1,r2,r3, got '1,2,x'"),
+        ],
+    )
+    def test_bad_list_flag_names_itself(self, tmp_path, capsys, flags, message):
+        cfg = write_config(tmp_path)
+        assert run_command([flags[0], "--config", str(cfg), *flags[1:]]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

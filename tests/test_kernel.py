@@ -1,26 +1,22 @@
 """The one transition kernel behind every chain step, and the columnar log.
 
-`simulate`, `step_natural` and `step_truncated` run the same kernel, so a
-trajectory replayed one step at a time on an identically seeded generator
-must reproduce `simulate`'s columns bit for bit.  Nothing in the package
-may fall back to the per-event `EventLog.records` view, and the names the
-benchmark tracer wraps must stay where it looks for them.
+`simulate` and `step` run the same kernel, so a trajectory replayed one
+step at a time on an identically seeded generator must reproduce
+`simulate`'s columns bit for bit.  The names the benchmark tracer wraps
+must stay where it looks for them.
 """
 
 import ast
 import importlib
-import json
 import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quakesim import (
     DeterministicZ,
-    EventLog,
     ExponentialPhi,
     ExponentialZ,
     FosterConfig,
@@ -29,18 +25,11 @@ from quakesim import (
     StopRule,
     ThresholdLinearPhi,
     UniformZ,
-    estimate_rates,
     master,
     phi_eval,
     simulate,
-    state_at,
-    step_natural,
-    step_truncated,
-    supercritical_probe,
-    window_integrals,
+    step,
 )
-from quakesim.chain import KIND_EVENT
-from quakesim.cli import run_command
 
 _PHIS = st.one_of(
     st.builds(ExponentialPhi, st.floats(0.2, 3.0)),
@@ -76,16 +65,14 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
     state, t = State(x, y), 0.0
     rows, kinds = [], []
     for _ in range(log.t.size):
-        rec, state = step_truncated(params, state, cfg, rng) if truncated else step_natural(params, state, rng)
-        t += rec.dt
-        assert (rec.x_post, rec.y_post) == (state.x, state.y)
-        rows.append((t, rec.dt, rec.x_post, rec.y_post, rec.z, rec.lambda_pre))
-        kinds.append(rec.kind == KIND_EVENT)
+        state, dt, z, lam, event = step(params, state, rng, truncated=cfg)
+        t += dt
+        rows.append((t, dt, state.x, state.y, z, lam))
+        kinds.append(event)
     got = np.column_stack([log.t, log.dt, log.x, log.y, log.z, log.lambda_pre])
     assert got.tobytes() == np.array(rows, dtype=float).reshape(-1, 6).tobytes()
     assert log.is_event.tolist() == kinds
     assert log.event_count == sum(kinds)
-    assert "records" not in vars(log)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,54 +114,6 @@ def test_simulate_steps_through_the_sampler_and_model_layers(ref_params, origin,
     log = simulate(ref_params, origin, StopRule(horizon=200.0), master(8))
     steps = log.event_count + 1  # the last wait overshoots the horizon
     assert calls == {"sample_interevent": steps, "intensity_saturated": steps, "phi_eval": 2 * steps}
-
-
-def test_records_view_matches_columns(ref_params, origin):
-    log = simulate(ref_params, origin, StopRule(horizon=50.0), master(3))
-    recs = log.records
-    assert [r.n for r in recs] == list(range(1, log.t.size + 1))
-    assert [(r.t, r.dt, r.x_post, r.y_post, r.z, r.lambda_pre) for r in recs] == list(
-        zip(log.t.tolist(), log.dt.tolist(), log.x.tolist(), log.y.tolist(), log.z.tolist(), log.lambda_pre.tolist())
-    )
-    assert EventLog.from_records(log.params, log.initial, recs, log.horizon, log.terminated_reason) == log
-
-
-@pytest.fixture
-def logs_made(monkeypatch):
-    """Every EventLog that `simulate` returns to the CLI or to analysis."""
-    made = []
-
-    def recording(*args, **kwargs):
-        log = simulate(*args, **kwargs)
-        made.append(log)
-        return log
-
-    for module in ("quakesim.cli", "quakesim.analysis"):
-        monkeypatch.setattr(importlib.import_module(module), "simulate", recording)
-    return made
-
-
-def test_library_readers_leave_records_unbuilt(ref_params, origin):
-    log = simulate(ref_params, origin, StopRule(horizon=2000.0), master(4))
-    estimate_rates(log)
-    state_at(log, 1000.0)
-    window_integrals(log, 10.0, 900.0)
-    assert log.event_count > 0 and log.event_times.size == log.event_count
-    assert "records" not in vars(log)
-
-
-def test_analysis_and_commands_leave_records_unbuilt(tmp_path, logs_made):
-    supercritical_probe(ModelParams(1.0, 2.0, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0)), 20.0, 2000, master(5))
-    model = {"c": 1, "k": 0.5, "alpha": 1, "phi": {"kind": "exp", "scale": 1}, "z": {"kind": "exponential", "mean": 2}}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": model, "initial": {"x": 0, "y": 0}, "seed": 6, "stop": {"horizon": 300.0}, "replications": 2}))
-    out = str(tmp_path / "out")
-    assert run_command(["simulate", "--config", str(cfg), "--out", out, "--summary", out + ".json"]) == 0
-    assert run_command(["rate", "--config", str(cfg), "--out", out]) == 0
-    assert run_command(["converge", "--config", str(cfg), "--t-grid", "5,20", "--replications", "10", "--out", out]) == 0
-    assert run_command(["selftest"]) == 0
-    assert len(logs_made) == 1 + 2 + 2 + 20 + 3
-    assert not [log for log in logs_made if "records" in vars(log)]
 
 
 def test_tracer_targets_resolve():

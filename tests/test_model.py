@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quakesim import (
@@ -178,6 +178,8 @@ class TestCumulativeHazard:
         c=st.floats(0.01, 10.0),
         xt=st.lists(st.tuples(st.floats(-2000.0, 2000.0), st.floats(0.0, 2000.0)), min_size=1, max_size=8),
     )
+    # exp(s*c*t) overflows, but the integral divided by s*c is finite
+    @example(s=8.9375, c=8.9375, xt=[(0.0, 8.9375)])
     def test_finite_values_keep_their_bits(self, s, c, xt):
         # the plain closed form, where it is finite, is the reference: rate
         # estimates built on it must not move by a single bit.  Where it is

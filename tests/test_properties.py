@@ -101,8 +101,8 @@ def test_thinning_agreement_threshold_linear(params):
         log_b = simulate_thinning(params, State(0.0, 0.0), horizon, rng=cb)
         counts_a[i] = log_a.event_count
         counts_b[i] = log_b.event_count
-        gaps_a.append(np.array([r.dt for r in log_a.records]))
-        gaps_b.append(np.array([r.dt for r in log_b.records]))
+        gaps_a.append(log_a.dt)
+        gaps_b.append(log_b.dt)
     se = math.sqrt(np.var(counts_a, ddof=1) / reps + np.var(counts_b, ddof=1) / reps)
     assert abs(float(np.mean(counts_a) - np.mean(counts_b))) <= 4.0 * se
     assert ks_two_sample(np.concatenate(gaps_a), np.concatenate(gaps_b)) <= 0.025

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quakesim import (
     ExponentialPhi,
     ExponentialZ,
+    FosterConfig,
     ModelParams,
     State,
     ThresholdLinearPhi,
@@ -259,11 +260,16 @@ class TestInterevent:
         assert means[-1] < 2.0e-4
 
 
+def truncation(v0, x1):
+    # only v0 and x1 reach the truncated draw; the other fields are inert
+    return FosterConfig(r1=10.0, r2=2.0, r3=1.0, gamma=0.1, x0=5.0, y0=4.0, v0=v0, x1=x1, delta=0.25)
+
+
 class TestTruncatedDraw:
     def test_above_threshold_always_real(self, ref_params):
         rng = np.random.default_rng(25)
         for _ in range(500):
-            d = sample_interevent_truncated(ref_params, State(0.0, 1.0), 2.0, -5.0, rng)
+            d = sample_interevent_truncated(ref_params, State(0.0, 1.0), truncation(2.0, -5.0), rng)
             assert d.is_real_event
 
     def test_deep_below_threshold_is_phantom(self):
@@ -275,7 +281,7 @@ class TestTruncatedDraw:
         phantoms = 0
         n = 5000
         for _ in range(n):
-            d = sample_interevent_truncated(params, State(-100.0, 0.0), v0, -50.0, rng)
+            d = sample_interevent_truncated(params, State(-100.0, 0.0), truncation(v0, -50.0), rng)
             assert d.t_tilde <= v0
             phantoms += not d.is_real_event
             if not d.is_real_event:
@@ -286,17 +292,17 @@ class TestTruncatedDraw:
         rng = np.random.default_rng(27)
         v0 = 1.5
         draws = [
-            sample_interevent_truncated(ref_params, State(-10.0, 0.2), v0, -5.0, rng).t_tilde
+            sample_interevent_truncated(ref_params, State(-10.0, 0.2), truncation(v0, -5.0), rng).t_tilde
             for _ in range(2000)
         ]
         assert float(np.mean(draws)) <= v0
 
-    def test_validation(self, ref_params):
-        rng = np.random.default_rng(28)
-        with pytest.raises(ValueError):
-            sample_interevent_truncated(ref_params, State(0.0, 0.0), 0.0, -1.0, rng)
-        with pytest.raises(ValueError):
-            sample_interevent_truncated(ref_params, State(0.0, 0.0), 1.0, 1.0, rng)
+    def test_validation(self):
+        # the config refuses what the draw no longer checks per call
+        with pytest.raises(ValueError, match="v0"):
+            truncation(0.0, -1.0)
+        with pytest.raises(ValueError, match="x1"):
+            truncation(1.0, 1.0)
 
 
 class TestClockOrderings:

@@ -67,8 +67,8 @@ class TestAgainstClosedForm:
         kept = 0
         for child in rng.spawn(n):
             log = simulate_thinning(ref_params, State(0.0, 0.0), horizon=4.0, window=0.5, rng=child)
-            if log.records:
-                firsts[kept] = log.records[0].t
+            if log.t.size:
+                firsts[kept] = log.t[0]
                 kept += 1
         firsts = firsts[:kept]
         assert kept == n  # survival past t=4 has probability exp(1 - e^4)
@@ -92,8 +92,8 @@ class TestOracleAgreement:
             log_b = simulate_thinning(ref_params, State(0.0, 0.0), horizon, rng=cb)
             counts_a[i] = log_a.event_count
             counts_b[i] = log_b.event_count
-            gaps_a.append(np.array([r.dt for r in log_a.records]))
-            gaps_b.append(np.array([r.dt for r in log_b.records]))
+            gaps_a.append(log_a.dt)
+            gaps_b.append(log_b.dt)
         se = math.sqrt(
             np.var(counts_a, ddof=1) / reps + np.var(counts_b, ddof=1) / reps
         )
@@ -108,20 +108,18 @@ class TestMechanics:
         log = simulate_thinning(ref_params, State(0.0, 0.0), horizon=50.0, rng=np.random.default_rng(75))
         assert log.terminated_reason == "horizon_reached"
         assert log.horizon == 50.0
+        assert log.is_event.all()
         x_prev, y_prev = 0.0, 0.0
-        for r in log.records:
-            assert r.kind == "event"
-            assert r.dt > 0
-            assert r.x_post == pytest.approx(x_prev + ref_params.c * r.dt - r.z, abs=1e-9)
-            assert r.y_post == pytest.approx(
-                y_prev * math.exp(-ref_params.alpha * r.dt) + ref_params.k, abs=1e-9
-            )
-            x_prev, y_prev = r.x_post, r.y_post
+        for dt, x, y, z in zip(log.dt.tolist(), log.x.tolist(), log.y.tolist(), log.z.tolist()):
+            assert dt > 0
+            assert x == pytest.approx(x_prev + ref_params.c * dt - z, abs=1e-9)
+            assert y == pytest.approx(y_prev * math.exp(-ref_params.alpha * dt) + ref_params.k, abs=1e-9)
+            x_prev, y_prev = x, y
 
     def test_reproducible(self, ref_params):
         a = simulate_thinning(ref_params, State(0.0, 0.0), 100.0, rng=np.random.default_rng(76))
         b = simulate_thinning(ref_params, State(0.0, 0.0), 100.0, rng=np.random.default_rng(76))
-        assert a.records == b.records
+        assert a == b
 
     def test_saturation_guard(self, ref_params):
         log = simulate_thinning(ref_params, State(40.0, 0.0), 10.0, rng=np.random.default_rng(77))

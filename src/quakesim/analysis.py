@@ -94,26 +94,6 @@ class SummaryStats:
     batches: int
     diagnostics: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        d = {
-            "rate_hat": self.rate_hat,
-            "rate_se": self.rate_se,
-            "rate_theory": self.rate_theory,
-            "mean_y_hat": self.mean_y_hat,
-            "mean_y_se": self.mean_y_se,
-            "lambda1_hat": self.lambda1_hat,
-            "lambda1_se": self.lambda1_se,
-            "lambda2_hat": self.lambda2_hat,
-            "lambda2_se": self.lambda2_se,
-            "regime": self.regime.value,
-            "n_events": self.n_events,
-            "horizon_effective": self.horizon_effective,
-            "burn_in_fraction": self.burn_in_fraction,
-            "batches": self.batches,
-            "diagnostics": dict(self.diagnostics),
-        }
-        return d
-
 
 def estimate_rates(
     log: EventLog,
@@ -157,9 +137,7 @@ def estimate_rates(
     l1 = int_phi / width
 
     reg = regime(log.params)
-    theory = (
-        log.params.c / log.params.z.expectation() if reg is Regime.SUBCRITICAL else None
-    )
+    theory = theoretical_rate(log.params) if reg is Regime.SUBCRITICAL else None
     rate_hat = n_events / span
     l1_hat = float(np.sum(int_phi)) / span
     l2_hat = float(np.sum(int_y)) / span
@@ -247,8 +225,11 @@ def convergence_diagnostic(
             stacklevel=2,
         )
     grid = sorted(float(t) for t in t_grid)
-    if not grid or grid[0] < 0:
-        raise ValueError("t_grid must be non-empty with non-negative times")
+    if not grid:
+        raise ValueError("t_grid must be non-empty")
+    for t in grid:  # NaN sorts anywhere, so check every time
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t_grid times must be finite and >= 0, got {t}")
     t_max = grid[-1]
     stop = StopRule(horizon=t_max if t_max > 0 else 1.0)
     children = rng.spawn(2 * replications)
@@ -360,17 +341,16 @@ def lemma_l2_check(
         raise ValueError("n must be >= 2 (the standard error needs two draws)")
     rows = []
     for y in y_grid:
-        if y < 0:
-            raise ValueError("y must be >= 0")
+        if not 0 <= y < math.inf:
+            raise ValueError(f"y must be finite and >= 0, got {y}")
         if y == 0:
             rows.append(LemmaRow(0.0, 0.0, 0.0, 0.0))
             continue
         t = sample_secondary_times(float(y), alpha, rng, n)
         vals = y * -np.expm1(-alpha * t)
         mc = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(n))
         exact = alpha * -math.expm1(-y / alpha)
-        rows.append(LemmaRow(float(y), mc, se, exact))
+        rows.append(LemmaRow(float(y), mc, batch_se(vals), exact))
     return rows
 
 

@@ -33,8 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .foster_config import FosterConfig
-from .model import ModelParams, State, cumulative_hazard_primary, intensity_saturated, phi_eval
+from .model import FosterConfig, ModelParams, State, cumulative_hazard_primary, intensity_saturated, phi_eval
 from .sampler import sample_interevent, sample_interevent_truncated
 
 __all__ = [

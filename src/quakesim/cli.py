@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import enum
 import itertools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -45,6 +45,7 @@ from .model import (
     regime,
 )
 from .sampler import primary_time_from_exponential, sample_secondary_times
+from .stats import batch_se
 from .streams import master, substream
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_command", "main"]
@@ -301,9 +302,10 @@ def parse_config(text: str) -> RunConfig:
 def _emit(out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] = None) -> None:
     """Write `doc` to the file `out`, or to stdout when `out` is None.
 
-    As JSON, `doc` is written whole, indented, with sorted keys.  As CSV,
-    the rows are `doc[table]` (`doc` itself when `table` is None): mappings
-    that share their keys, which name the columns.
+    As JSON, `doc` is written whole, indented, with sorted keys, and each
+    enum as its value.  As CSV, the rows are `doc[table]` (`doc` itself
+    when `table` is None): mappings that share their keys, which name the
+    columns.
     Each column's formatter is chosen once, from its first value: floats
     get 17 significant digits, so they round-trip exactly, anything else
     str().  Fields are numbers, booleans and bare words, so none needs
@@ -311,7 +313,7 @@ def _emit(out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] 
     """
     lines: Iterable[str]
     if fmt == "json":
-        lines = [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
+        lines = [json.dumps(doc, indent=2, sort_keys=True, default=_enum_value) + "\n"]
     else:
         rows = iter(doc if table is None else doc[table])
         first = next(rows, None)
@@ -322,6 +324,14 @@ def _emit(out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] 
             lines = itertools.chain(lines, map((line + "\n").format_map, itertools.chain([first], rows)))
     with _output(out) as f:
         f.writelines(lines)
+
+
+def _enum_value(obj: Any) -> Any:
+    """`json.dumps` hook for what JSON has no type for: an enum member
+    becomes its value, anything else is refused."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _output(out: Optional[str]):
@@ -347,18 +357,6 @@ def _record(obj: Any, *derived: str) -> dict:
     return {**asdict(obj), **{name: getattr(obj, name) for name in derived}}
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads:
-        return max(1, args.threads)
-    env = os.environ.get("QUAKESIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError([f"QUAKESIM_THREADS: expected integer, got {env!r}"]) from None
-    return 1
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     with open(args.config) as f:
         cfg = parse_config(f.read())
@@ -374,7 +372,7 @@ def _run_replicas(cfg: RunConfig, threads: int) -> list[EventLog]:
         return simulate(cfg.model, cfg.initial, cfg.stop, substream(cfg.seed, i))
 
     indices = range(cfg.replications)
-    if threads == 1:
+    if threads <= 1:
         return [one(i) for i in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, indices))
@@ -387,7 +385,7 @@ def _early_stop(logs: list[EventLog]) -> Optional[str]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    logs = _run_replicas(cfg, _thread_count(args))
+    logs = _run_replicas(cfg, args.threads)
     _write_events(args.out or cfg.output.get("events"), logs[0])
     out_summary = args.summary or cfg.output.get("summary")
     if out_summary:
@@ -412,13 +410,13 @@ def _pooled_rate_summary(cfg: RunConfig, logs: list[EventLog]) -> dict:
     stats = [analysis.estimate_rates(lg, cfg.burn_in_fraction) for lg in logs]
     body: dict[str, Any] = {
         "replications": cfg.replications,
-        "per_replica": [s.as_dict() for s in stats],
+        "per_replica": [asdict(s) for s in stats],
     }
     rates = np.array([s.rate_hat for s in stats])
     if len(stats) > 1:
         body["pooled"] = {
             "rate_hat": float(np.mean(rates)),
-            "rate_se": float(np.std(rates, ddof=1) / math.sqrt(len(stats))),
+            "rate_se": batch_se(rates),
         }
     body["rate_theory"] = stats[0].rate_theory
     return body
@@ -426,7 +424,7 @@ def _pooled_rate_summary(cfg: RunConfig, logs: list[EventLog]) -> dict:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    logs = _run_replicas(cfg, _thread_count(args))
+    logs = _run_replicas(cfg, args.threads)
     try:
         body = _pooled_rate_summary(cfg, logs)
     except analysis.InsufficientDataError as e:
@@ -458,7 +456,7 @@ def _cmd_foster(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     config = _foster_config(cfg, args.weights)
     report = foster.validate_foster(cfg.model, config, rng=substream(cfg.seed, 1))
-    _emit(args.out, {"foster_config": asdict(config), "report": report.as_dict()})
+    _emit(args.out, {"foster_config": asdict(config), "report": _record(report, "passed")})
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
@@ -541,7 +539,7 @@ def _cmd_regime(args: argparse.Namespace) -> int:
     r = regime(cfg.model)
     body: dict[str, Any] = {
         "k_over_alpha": cfg.model.k / cfg.model.alpha,
-        "regime": r.value,
+        "regime": r,
     }
     if r is Regime.SUBCRITICAL:
         body["rate_theory"] = analysis.theoretical_rate(cfg.model)
@@ -554,7 +552,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     report = analysis.supercritical_probe(
         cfg.model, args.horizon, args.budget, substream(cfg.seed, 0), initial=cfg.initial
     )
-    _emit(args.out, {**_record(report, "explosive"), "regime": report.regime.value})
+    _emit(args.out, _record(report, "explosive"))
     return EXIT_OK
 
 
@@ -625,7 +623,7 @@ _SHARED_OPTIONS = {
     "--config": dict(required=True, help="path to JSON run configuration"),
     "--out": dict(default=None, help="output path (stdout when omitted)"),
     "--seed": dict(type=int, default=None, help="override the config seed"),
-    "--threads": dict(type=int, default=None, help="replication fan-out (default 1 or QUAKESIM_THREADS)"),
+    "--threads": dict(type=int, default=1, help="replication fan-out (default 1)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="tabular output format"),
 }
 

@@ -48,8 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import _kernel, _Position
-from .foster_config import FosterConfig
-from .model import ModelParams, Regime, State, regime
+from .model import FosterConfig, ModelParams, Regime, State, regime
 from .sampler import (
     primary_times_from_exponentials,
     sample_primary_times,
@@ -114,22 +113,6 @@ class ConstraintReport:
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "margin": c.margin,
-                    "passed": c.passed,
-                    "method": c.method,
-                    "se": c.se,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> float:
     """Order constraints on the weights; returns delta."""
@@ -155,10 +138,19 @@ def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> floa
     return delta
 
 
-def _bisect_decreasing(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Smallest point where the non-increasing f is <= 0, given a bracket
-    with f(lo) > 0 >= f(hi)."""
-    for _ in range(iters):
+def _solve_decreasing(f, lo: float, hi: float, name: str) -> float:
+    """Smallest point >= lo where the non-increasing f is <= 0: lo itself
+    when f(lo) <= 0, else bracketed by doubling `hi` until f(hi) <= 0 and
+    then bisected."""
+    if f(lo) <= 0.0:
+        return lo
+    for _ in range(200):
+        if f(hi) <= 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise FosterInfeasibleError(f"could not bracket {name}")
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -201,18 +193,7 @@ def foster_params(
         overshoot = (r1 + r3) * params.z.tail_mean_above(x)
         return max(wait, overshoot) - gamma
 
-    if x0_excess(0.0) <= 0.0:
-        x0_star = 1e-6
-    else:
-        hi = 1.0
-        for _ in range(200):
-            if x0_excess(hi) <= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise FosterInfeasibleError("could not bracket x0")
-        x0_star = _bisect_decreasing(x0_excess, 0.0, hi)
-    x0 = _MARGIN * max(x0_star, 1e-6)
+    x0 = _MARGIN * max(_solve_decreasing(x0_excess, 0.0, 1.0, "x0"), 1e-6)
 
     # y0: exact decay-gain bound plus the Monte Carlo wait bound
     y_gain_bound = alpha * math.log(3.0 * alpha / delta)
@@ -222,18 +203,7 @@ def foster_params(
         t = np.minimum(t1_zero, secondary_times_from_uniforms(y, alpha, u_draws))
         return r1 * c * float(np.mean(t)) - gamma
 
-    if y0_excess(y_gain_bound) <= 0.0:
-        y_star = y_gain_bound
-    else:
-        hi = max(y_gain_bound, 1.0)
-        for _ in range(200):
-            if y0_excess(hi) <= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise FosterInfeasibleError("could not bracket y0")
-        y_star = _bisect_decreasing(y0_excess, y_gain_bound, hi)
-    y0_raw = max(y_gain_bound, y_star)
+    y0_raw = _solve_decreasing(y0_excess, y_gain_bound, max(y_gain_bound, 1.0), "y0")
 
     # the phantom-push bound forces v0 > coef*exp(y0/alpha); cap y0 so that
     # v0, c*v0 and r*|x1| all stay inside float64
@@ -307,8 +277,8 @@ def validate_foster(
     x0, y0, v0, x1 = config.x0, config.y0, config.v0, config.x1
     checks: list[ConstraintCheck] = []
 
-    def exact(name: str, margin: float, note: str = "") -> None:
-        checks.append(ConstraintCheck(name, margin, margin >= 0.0, "exact", None, note))
+    def exact(name: str, margin: float, note: str = "", method: str = "exact") -> None:
+        checks.append(ConstraintCheck(name, margin, margin >= 0.0, method, None, note))
 
     def mc(name: str, samples: np.ndarray, bound: float, sign: int, note: str = "") -> None:
         """sign=+1 checks mean >= bound, sign=-1 checks mean <= bound."""
@@ -348,16 +318,7 @@ def validate_foster(
 
     log_lhs = math.log(r3) + math.log(c) + math.log(v0) - math.log(2.0) - y0 / alpha
     log_rhs = math.log(gamma + r3 * ez + r2 * k)
-    checks.append(
-        ConstraintCheck(
-            "v0_phantom_push",
-            log_lhs - log_rhs,
-            log_lhs - log_rhs >= 0.0,
-            "log_exact",
-            None,
-            "margin in log units",
-        )
-    )
+    exact("v0_phantom_push", log_lhs - log_rhs, "margin in log units", method="log_exact")
 
     exact("x1_below_reach", -c * v0 - x1)
 

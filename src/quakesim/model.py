@@ -30,8 +30,10 @@ and ``DeterministicZ(value)``.  Each variant class carries its own formulas:
                                without an absolutely continuous part
 
 `phi_eval`, `cumulative_hazard_primary` and the inversions in `sampler` are
-thin calls into these methods.  All types are immutable after construction
-and safe to share across threads; every random operation takes an explicit
+thin calls into these methods.  `ModelParams`, `State` and `FosterConfig`
+(the constants of the drift construction in `foster`) are the package's
+parameter types.  All types are immutable after construction and safe to
+share across threads; every random operation takes an explicit
 ``numpy.random.Generator``.
 """
 
@@ -54,6 +56,7 @@ __all__ = [
     "ZSpec",
     "ModelParams",
     "State",
+    "FosterConfig",
     "Regime",
     "regime",
     "phi_eval",
@@ -332,6 +335,56 @@ class State:
         # chained comparisons, false for NaN: this runs once per event
         if not (-_INF < self.x < _INF and 0.0 <= self.y < _INF):
             raise ValueError(f"need finite x and finite y >= 0, got ({self.x}, {self.y})")
+
+
+@dataclass(frozen=True)
+class FosterConfig:
+    """Validated coefficient set for the Lyapunov drift construction.
+
+    The test function is L(x, y) = r1*x + r2*y for x >= 0 and r3*|x| + r2*y
+    for x < 0.  A configuration fixes the weights (r1, r2, r3), the drift
+    margin gamma, the decay headroom delta = (alpha - k)/2, and the geometry
+    of the recurrent box V = [x1, x0] x [0, y0] together with the truncation
+    time v0 of the capped embedding.  Construction and re-validation of these
+    numbers live in `quakesim.foster`.
+    """
+
+    r1: float
+    r2: float
+    r3: float
+    gamma: float
+    x0: float
+    y0: float
+    v0: float
+    x1: float
+    delta: float
+
+    def __post_init__(self) -> None:
+        for name in ("r1", "r2", "r3", "gamma", "x0", "y0", "v0", "delta"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if not self.r3 < self.r1:
+            raise ValueError(f"need r3 < r1, got r3={self.r3}, r1={self.r1}")
+        if not self.x1 < 0:
+            raise ValueError(f"x1 must be < 0, got {self.x1}")
+        if not math.isfinite(self.x1):
+            raise ValueError("x1 must be finite")
+
+    def lyapunov(self, x: float, y: float) -> float:
+        """Test function L at a single state."""
+        if x >= 0:
+            return self.r1 * x + self.r2 * y
+        return self.r3 * (-x) + self.r2 * y
+
+    def lyapunov_x(self, x):
+        """Stress part of L; scalar or array."""
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0.0, self.r1 * x, self.r3 * -x)
+
+    def in_recurrent_set(self, x: float, y: float) -> bool:
+        """True when (x, y) lies in the box V = [x1, x0] x [0, y0]."""
+        return self.x1 <= x <= self.x0 and 0.0 <= y <= self.y0
 
 
 class Regime(enum.Enum):

@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .foster_config import FosterConfig
-from .model import _TINY, ModelParams, PhiSpec, State, cumulative_hazard_primary
+from .model import _TINY, FosterConfig, ModelParams, PhiSpec, State, cumulative_hazard_primary
 
 __all__ = [
     "TruncatedDraw",

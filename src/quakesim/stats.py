@@ -25,16 +25,17 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     Infinite samples are allowed (defective laws); they weigh the tails of
     the empirical CDFs but can never be evaluation points.
     """
+    return float(np.max(np.abs(_cdf_gap(a, b)), initial=0.0))
+
+
+def _cdf_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F_a - F_b at the pooled finite points of the two samples."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     pts = np.concatenate([a[np.isfinite(a)], b[np.isfinite(b)]])
-    if pts.size == 0:
-        return 0.0
-    fa = np.searchsorted(a, pts, side="right") / a.size
-    fb = np.searchsorted(b, pts, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    return np.searchsorted(a, pts, side="right") / a.size - np.searchsorted(b, pts, side="right") / b.size
 
 
 def _can_fail(name: str, threshold: float, alpha: float) -> float:
@@ -59,14 +60,7 @@ def dominance_violation(hi: np.ndarray, lo: np.ndarray) -> float:
     max(0, sup(F_hi - F_lo)) over the pooled finite sample points, so 0
     means the empirical CDFs are perfectly ordered.
     """
-    hi = np.sort(np.asarray(hi, dtype=float))
-    lo = np.sort(np.asarray(lo, dtype=float))
-    pts = np.concatenate([hi[np.isfinite(hi)], lo[np.isfinite(lo)]])
-    if pts.size == 0:
-        return 0.0
-    f_hi = np.searchsorted(hi, pts, side="right") / hi.size
-    f_lo = np.searchsorted(lo, pts, side="right") / lo.size
-    return float(max(0.0, np.max(f_hi - f_lo)))
+    return float(np.max(_cdf_gap(hi, lo), initial=0.0))
 
 
 def one_sided_band(n: int, m: int, alpha: float = 0.01) -> float:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestSimulate:
         # the segment integrals over that log stay finite
         assert math.isfinite(integrated_phi_x(log))
         stats = estimate_rates(log)
-        numbers = [v for v in stats.as_dict().values() if isinstance(v, float)]
+        numbers = [v for v in asdict(stats).values() if isinstance(v, float)]
         numbers += [v for v in stats.diagnostics.values() if isinstance(v, float)]
         assert all(math.isfinite(v) for v in numbers)
         assert stats.diagnostics["terminated_reason"] == "time_resolution"

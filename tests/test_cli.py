@@ -296,14 +296,6 @@ class TestRateCommand:
         assert run_command(["rate", "--config", str(cfg), "--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, horizon=300.0, replications=3)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_command(["rate", "--config", str(cfg), "--out", str(a)])
-        monkeypatch.setenv("QUAKESIM_THREADS", "3")
-        run_command(["rate", "--config", str(cfg), "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestOtherCommands:
     def test_regime(self, tmp_path, capsys):
@@ -435,6 +427,26 @@ class TestFlags:
         cfg = write_config(tmp_path)
         argv = ["converge", "--config", str(cfg), "--init-b", "nan,1", "--t-grid", "5", "--replications", "20"]
         assert run_command(argv) == 1
+
+    # an infinite time would run the chains forever, an infinite y would
+    # write the bare words Infinity and NaN into the JSON table
+    @pytest.mark.parametrize(
+        "flags, value",
+        [
+            (["converge", "--t-grid", "5,inf"], "inf"),
+            (["converge", "--t-grid", "1,nan,5"], "nan"),
+            (["converge", "--t-grid", "inf"], "inf"),
+            (["lemma-l2", "--format", "json", "--y-grid", "1,inf"], "inf"),
+            (["lemma-l2", "--format", "json", "--y-grid", "nan"], "nan"),
+        ],
+    )
+    def test_non_finite_grid_exit_one(self, tmp_path, capsys, flags, value):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "table.txt"
+        assert run_command([flags[0], "--config", str(cfg), "--out", str(out), *flags[1:]]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"got {value}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("replications", ["0", "-3"])
     def test_converge_without_replications_exit_one(self, tmp_path, capsys, replications):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -110,8 +110,10 @@ class TestValidation:
     def test_report_access(self, ref_config):
         params, cfg = ref_config
         report = validate_foster(params, cfg, rng=np.random.default_rng(207), n=20_000)
-        d = report.as_dict()
-        assert d["passed"] is True
+        assert report.passed is True
+        checks = asdict(report)["checks"]
+        assert [c["name"] for c in checks] == [c.name for c in report.checks]
+        assert set(checks[0]) == {"name", "margin", "passed", "method", "se", "note"}
         with pytest.raises(KeyError):
             report["nonexistent"]
 

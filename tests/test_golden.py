@@ -3,8 +3,10 @@
 The event CSV and rate JSON of a fixed seed are pinned by sha256, so any
 change to the draw order or the float arithmetic of the event loop shows
 up here and has to be made on purpose (with a new draw-contract version,
-see README "Seeding contract").  The truncated run pins the columns of a
-library-level trajectory with phantoms, bit for bit.
+see README "Seeding contract").  The documents of the other commands are
+pinned the same way, so a change to how a result is written shows up too.
+The truncated run pins the columns of a library-level trajectory with
+phantoms, bit for bit.
 """
 
 import hashlib
@@ -79,6 +81,64 @@ def test_golden_digests(tmp_path, capsys, name):
     warning = "warning: run terminated by intensity saturation\n" if code else ""
     assert capsys.readouterr() == ("", warning)
 
+
+# name -> (GOLDEN config, extra config keys, command line, output sha256);
+# {out} is the pinned document, {tmp} the test's directory
+DOCUMENTS = {
+    "simulate_summary": (
+        "exp_exponential", {"replications": 3}, "simulate --out {tmp}/events.csv --summary {out}",
+        "d96ed48dbd1fde9ad841b13f6ed0333d29e6b75e2e0ed8ed4381158b3fb0df1d",
+    ),
+    "foster": (
+        "exp_exponential", {}, "foster --weights 100,10,1 --out {out}",
+        "a879e5ef964a8a4c199c33b12eeb980fd2200cef387131fd6264b33fa5e6e3e7",
+    ),
+    "drift": (
+        "exp_exponential", {}, "drift --n 2000 --out {out}",
+        "f64ff929c11555e1d3174aec8810e205ec0b2e87853f8509c075ba8528b42e93",
+    ),
+    "converge_csv": (
+        "exp_exponential", {}, "converge --replications 100 --t-grid 5,20 --out {out}",
+        "39d8def317c5e1dca6a1f831311641cff8994994108e63827b06a770edd35611",
+    ),
+    "converge_json": (
+        "exp_exponential", {}, "converge --replications 100 --t-grid 5,20 --format json --out {out}",
+        "db0170f7ccf504e091fcd48f1574dfce251e3c304eaaa651e0768f2d24334720",
+    ),
+    "dominance": (
+        "exp_exponential", {}, "dominance --n 2000 --out {out}",
+        "2b96400471ef8e3e019e04c0b180a780dd3dc4c1b5fbcdc3f6d6eb6ec839e15b",
+    ),
+    "lemma_l2_csv": (
+        "exp_exponential", {}, "lemma-l2 --n 2000 --out {out}",
+        "ab15074a24d838bbe8b1c6ed8af2362e998f0872a9bf45fbc1b11549789d2e43",
+    ),
+    "lemma_l2_json": (
+        "exp_exponential", {}, "lemma-l2 --n 2000 --format json --out {out}",
+        "991220488abf09d8e9b93eebbdc0b41cbce8e270d50bfbad896fc523b9187d08",
+    ),
+    "regime": (
+        "exp_exponential", {}, "regime --out {out}",
+        "adf421d4067a23e3945c70850875107e493b16288f6aee7d3b27a148fd9db250",
+    ),
+    "probe_supercritical": (
+        "saturation", {}, "probe-supercritical --horizon 20 --budget 20000 --out {out}",
+        "449952d18462bea6ce8139a4a3ecc524ba87760cb956ea52d353d72f419f2cdf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_golden_documents(tmp_path, capsys, name):
+    config, extra, command, sha = DOCUMENTS[name]
+    model, seed, stop = GOLDEN[config][:3]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "initial": {"x": 0.0, "y": 0.0}, "seed": seed, "stop": stop, **extra}))
+    out = tmp_path / "out"
+    argv = [arg.format(tmp=tmp_path, out=out) for arg in command.split()] + ["--config", str(cfg)]
+    assert run_command(argv) == 0
+    assert _digest(out) == sha
+    assert capsys.readouterr() == ("", "")
 
 # columns (t, dt, x, y, z, lambda_pre) of the truncated run below, as float.hex
 TRUNCATED_COLUMNS = [

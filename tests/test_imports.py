@@ -1,5 +1,6 @@
-"""The package's module graph has no import cycles, and each phi family and
-stress-drop law is one class that carries its own formulas.
+"""The package's module graph has no import cycles, each phi family and
+stress-drop law is one class that carries its own formulas, and only the
+command-line front end turns results into documents.
 
 Imports are read from the source with ast, so imports inside functions
 count as well as module-level ones: a function-level import only hides a
@@ -117,4 +118,49 @@ def test_variant_guard_sees_dispatch(tmp_path):
         "foster: uses ThresholdLinearPhi",
         "model: isinstance(..., UniformZ)",
         "sampler: imports ExponentialPhi",
+    ]
+
+
+# names of methods that would turn a result into a document
+DOCUMENT_METHODS = {"as_dict", "to_dict", "to_json_dict"}
+
+
+def document_makers(package: Path) -> list[str]:
+    """Each `json` import, and each class method named in DOCUMENT_METHODS,
+    outside cli, as "module: what"."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        if module == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [f"{module}: imports {a.name}" for a in node.names if a.name.split(".")[0] == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "json":
+                found.append(f"{module}: imports from {node.module}")
+            elif isinstance(node, ast.ClassDef):
+                methods = [f.name for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                found += [f"{module}: {node.name}.{m}" for m in methods if m in DOCUMENT_METHODS]
+    return found
+
+
+def test_documents_are_made_in_cli():
+    assert document_makers(PACKAGE) == []
+
+
+def test_document_guard_sees_each_kind(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    method = "    def {}(self):\n        pass\n"
+    (pkg / "analysis.py").write_text("import json\n\nclass A:\n" + method.format("as_dict"))
+    (pkg / "foster.py").write_text("from json import dumps\n\nclass B:\n" + method.format("to_dict"))
+    # a module-level function is no class's method
+    (pkg / "stats.py").write_text("def to_dict():\n    pass\n\nclass C:\n" + method.format("to_json_dict"))
+    (pkg / "cli.py").write_text("import json\n\nclass D:\n" + method.format("to_json_dict"))
+    assert document_makers(pkg) == [
+        "analysis: imports json",
+        "analysis: A.as_dict",
+        "foster: imports from json",
+        "foster: B.to_dict",
+        "stats: C.to_json_dict",
     ]

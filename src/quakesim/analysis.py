@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import EARLY_STOPS, EventLog, StopRule, simulate, state_at, window_integrals
-from .model import ModelParams, Regime, State, regime
-from .sampler import sample_primary_times, sample_secondary_times
+from .model import ModelParams, Regime, State, regime, sample_primary_times, sample_secondary_times
 from .stats import batch_se, dominance_violation, ks_critical_value, ks_two_sample, one_sided_band
 
 __all__ = [
@@ -232,21 +231,21 @@ def convergence_diagnostic(
             raise ValueError(f"t_grid times must be finite and >= 0, got {t}")
     t_max = grid[-1]
     stop = StopRule(horizon=t_max if t_max > 0 else 1.0)
+    # allocate before spawning: numpy refuses a sample too large for memory
+    # at once, where spawning one generator per replication would not
+    shape = (replications, len(grid))
+    samples = {label: (np.empty(shape), np.empty(shape)) for label in "ab"}
     children = rng.spawn(2 * replications)
-    samples = {}
-    for label, init, chunk in (
-        ("a", init_a, children[:replications]),
-        ("b", init_b, children[replications:]),
+    for (xs, ys), init, chunk in (
+        (samples["a"], init_a, children[:replications]),
+        (samples["b"], init_b, children[replications:]),
     ):
-        xs = np.empty((replications, len(grid)))
-        ys = np.empty((replications, len(grid)))
         for i, child in enumerate(chunk):
             log = simulate(params, init, stop, child)
             for j, t in enumerate(grid):
                 s = state_at(log, min(t, log.horizon))
                 xs[i, j] = s.x
                 ys[i, j] = s.y
-        samples[label] = (xs, ys)
     points = []
     for j, t in enumerate(grid):
         ks_x = ks_two_sample(samples["a"][0][:, j], samples["b"][0][:, j])

@@ -12,11 +12,14 @@ level x1, producing "phantom" transitions that advance time without an
 event.  Phantoms are logged with is_event False and excluded from all
 event counts and rate estimates.
 
-One transition kernel (`_kernel`) makes every step of both chains, moving
-a mutable position in place; `simulate`, `step` (one transition from a
-`State`) and `foster.return_times` all run it.  A trajectory is an
-`EventLog` of columns, one float64 array per field and a boolean event
-mask.
+One transition kernel makes every step of both chains, moving a mutable
+position in place; `simulate` and `step` (one transition from a `State`)
+both run it.  The kernel and `sample_interevent` write draw contract v1,
+the order in which one transition consumes its generator: a unit
+exponential for the primary clock, a uniform for the secondary clock (the
+clock formulas are in `model`), then the stress drop, drawn only for an
+event.  A trajectory is an `EventLog` of columns, one float64 array per
+field and a boolean event mask.
 
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
@@ -33,13 +36,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FosterConfig, ModelParams, State, cumulative_hazard_primary, intensity_saturated, phi_eval
-from .sampler import sample_interevent, sample_interevent_truncated
+from .model import (
+    FosterConfig,
+    ModelParams,
+    State,
+    cumulative_hazard_primary,
+    intensity_saturated,
+    phi_eval,
+    primary_time_from_exponential,
+    secondary_time_from_uniform,
+)
 
 __all__ = [
     "EARLY_STOPS",
     "EventLog",
     "StopRule",
+    "sample_interevent",
     "step",
     "simulate",
     "flow",
@@ -153,12 +165,24 @@ def state_at(log: EventLog, t: float) -> State:
     return flow(log.params, base, t - base_t)
 
 
+def sample_interevent(params: ModelParams, state: State, rng: np.random.Generator) -> float:
+    """Waiting time from `state`: the minimum of the two independent clocks.
+
+    The primary clock is finite with probability one, so the result is
+    always finite.  Consumes exactly one exponential and one uniform draw,
+    in that order.
+    """
+    t1 = primary_time_from_exponential(params.phi, state.x, params.c, rng.standard_exponential())
+    t2 = secondary_time_from_uniform(state.y, params.alpha, rng.random())
+    return t1 if t1 <= t2 else t2
+
+
 class _Position:
     """The chain's current state, moved in place by each step.
 
-    It has the two fields of `State`, which is all that `sample_interevent`,
-    `sample_interevent_truncated` and `intensity_saturated` read, without a
-    validated frozen `State` built per transition.
+    It has the two fields of `State`, which is all that `sample_interevent`
+    and `intensity_saturated` read, without a validated frozen `State` built
+    per transition.
     """
 
     __slots__ = ("x", "y")
@@ -175,19 +199,20 @@ def _kernel(
     truncated embedding, drawing from `rng`.
 
     `transition(pos)` moves `pos` to the post-transition state and returns
-    (dt, z, lambda_pre, is_event).  The wait comes from `sample_interevent`
-    (a unit exponential, then a uniform) or, for the truncated chain, from
-    `sample_interevent_truncated`, whose wait capped at v0 below x1 is a
-    phantom: pure flow, z = 0.  A stress drop is drawn only for an event.
+    (dt, z, lambda_pre, is_event).  The wait comes from `sample_interevent`.
+    In the truncated chain, a wait longer than v0 from a stress at or below
+    x1 is capped at v0 and is a phantom: pure flow, z = 0.  `FosterConfig`
+    guarantees v0 > 0 and x1 < 0, both finite.  A stress drop is drawn only
+    for an event.
     """
     phi, draw, c, k, alpha = params.phi, params.z.draw, params.c, params.k, params.alpha
     exp, inf = math.exp, math.inf
 
     def transition(pos: _Position) -> tuple[float, float, float, bool]:
-        if truncated is None:
-            dt, event = sample_interevent(params, pos, rng), True
-        else:
-            dt, event = sample_interevent_truncated(params, pos, truncated, rng)
+        dt = sample_interevent(params, pos, rng)
+        event = truncated is None or pos.x > truncated.x1 or dt <= truncated.v0
+        if not event:
+            dt = truncated.v0
         decay = exp(-alpha * dt)
         x = pos.x + c * dt
         y = pos.y * decay
@@ -219,19 +244,6 @@ def step(
     return State(pos.x, pos.y), dt, z, lam, event
 
 
-def _new_columns() -> tuple[list[array], bytearray]:
-    """Empty growing columns: one array('d') per float column, and a mask."""
-    return [array("d") for _ in FLOAT_COLUMNS], bytearray()
-
-
-def _to_log(
-    params: ModelParams, initial: State, horizon: float, reason: str, floats: list[array], mask: bytearray
-) -> EventLog:
-    """An EventLog over the grown columns (their buffers are shared, not copied)."""
-    columns = [np.frombuffer(col, dtype=np.float64) for col in floats]
-    return EventLog(params, initial, horizon, reason, *columns, np.frombuffer(mask, dtype=np.bool_))
-
-
 def simulate(
     params: ModelParams,
     initial: State,
@@ -253,7 +265,8 @@ def simulate(
     pos = _Position(initial.x, initial.y)
     max_events = math.inf if stop.max_events is None else stop.max_events
     horizon = math.inf if stop.horizon is None else stop.horizon
-    floats, mask = _new_columns()
+    floats = [array("d") for _ in FLOAT_COLUMNS]
+    mask = bytearray()
     put_t, put_dt, put_x, put_y, put_z, put_lam = (col.append for col in floats)
     put_event = mask.append
     t = 0.0
@@ -285,7 +298,9 @@ def simulate(
         events += event
 
     end = stop.horizon if reason == "horizon_reached" else t
-    return _to_log(params, initial, end, reason, floats, mask)
+    # the log's columns share the grown buffers, they are not copied
+    columns = [np.frombuffer(col, dtype=np.float64) for col in floats]
+    return EventLog(params, initial, end, reason, *columns, np.frombuffer(mask, dtype=np.bool_))
 
 
 def integrated_y(log: EventLog) -> float:

@@ -42,9 +42,10 @@ from .model import (
     cumulative_hazard_numeric,
     cumulative_hazard_primary,
     phi_eval,
+    primary_time_from_exponential,
     regime,
+    sample_secondary_times,
 )
-from .sampler import primary_time_from_exponential, sample_secondary_times
 from .stats import batch_se
 from .streams import master, substream
 
@@ -367,12 +368,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def _run_replicas(cfg: RunConfig, threads: int) -> list[EventLog]:
     """Simulate all replicas; replica i always uses substream(seed, i), so
     the result is independent of the thread count."""
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
 
     def one(i: int) -> EventLog:
         return simulate(cfg.model, cfg.initial, cfg.stop, substream(cfg.seed, i))
 
     indices = range(cfg.replications)
-    if threads <= 1:
+    if threads == 1:
         return [one(i) for i in indices]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, indices))

@@ -47,10 +47,14 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _kernel, _Position
-from .model import FosterConfig, ModelParams, Regime, State, regime
-from .sampler import (
+from .chain import step
+from .model import (
+    FosterConfig,
+    ModelParams,
+    Regime,
+    State,
     primary_times_from_exponentials,
+    regime,
     sample_primary_times,
     sample_secondary_times,
     secondary_times_from_uniforms,
@@ -445,12 +449,11 @@ def return_times(
     taus: list[int] = []
     exhausted = 0
     for child in rng.spawn(replications):
-        step = _kernel(params, config, child)
-        pos = _Position(initial.x, initial.y)
+        state = initial
         hit = 0
         for n in range(1, budget + 1):
-            step(pos)
-            if config.in_recurrent_set(pos.x, pos.y):
+            state = step(params, state, child, truncated=config)[0]
+            if config.in_recurrent_set(state.x, state.y):
                 hit = n
                 break
         if hit:

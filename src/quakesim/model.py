@@ -29,8 +29,26 @@ and ``DeterministicZ(value)``.  Each variant class carries its own formulas:
          density_floor()       (z1, z2, h), density >= h on [z1, z2]; None
                                without an absolutely continuous part
 
-`phi_eval`, `cumulative_hazard_primary` and the inversions in `sampler` are
-thin calls into these methods.  `ModelParams`, `State` and `FosterConfig`
+`phi_eval`, `cumulative_hazard_primary` and the primary-clock inversions
+below are thin calls into these methods.
+
+The wait from a state (x, y) is the minimum of two independent clocks, and
+this module holds the formulas of both (the draw order of one transition is
+written in `chain`):
+
+* the primary clock, driven by the stress ramp, with survival
+  P(T1 > t) = exp(-integral of phi(x + c*v) over [0, t]), always finite;
+* the secondary clock, driven by the decaying aftershock residual, with
+  survival P(T2 > t) = exp(-(y/alpha) * (1 - exp(-alpha*t))).  It is
+  defective: it never fires with probability exp(-y/alpha), represented
+  as ``math.inf``.
+
+Each clock is sampled exactly by inverting its cumulative hazard against a
+unit exponential or a uniform (no discretisation, no rejection).  The
+scalar inversions serve the event loop; the ``*_times`` batch versions draw
+numpy arrays for Monte Carlo work through the same ``*_from_*`` transforms.
+
+`ModelParams`, `State` and `FosterConfig`
 (the constants of the drift construction in `foster`) are the package's
 parameter types.  All types are immutable after construction and safe to
 share across threads; every random operation takes an explicit
@@ -64,6 +82,15 @@ __all__ = [
     "intensity_saturated",
     "cumulative_hazard_primary",
     "cumulative_hazard_numeric",
+    "primary_time_from_exponential",
+    "secondary_time_from_uniform",
+    "sample_secondary_time",
+    "sample_primary_times",
+    "primary_times_from_exponentials",
+    "sample_secondary_times",
+    "secondary_times_from_uniforms",
+    "primary_survival",
+    "secondary_survival",
 ]
 
 # exp() overflows float64 just above this exponent
@@ -488,3 +515,95 @@ def cumulative_hazard_numeric(phi: PhiSpec, x: float, c: float, t: float, tol: f
         whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         total += _adaptive_simpson(f, a, b, eps / 16.0, 48, fa, fm, fb, whole)
     return total
+
+
+# --- the two clocks ---------------------------------------------------------
+
+
+def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) -> float:
+    """Solve (cumulative primary hazard from x)(T) = e for T, scalar
+    (`phi.invert`, with e <= 0 floored to the smallest positive float).
+
+    Exponential phi:  T = log(1 + s*c*e*exp(-s*x)) / (s*c), evaluated in
+    log space when exp(-s*x) would overflow.  Threshold-linear phi: the
+    hazard ramp gives a linear-plus-quadratic equation; below the
+    threshold the hazard is zero until the ramp reaches it.
+    """
+    if e <= 0.0:
+        e = _TINY
+    return phi.invert(x, c, e)
+
+
+def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
+    """Invert the defective secondary survival at the uniform draw u.
+
+    Returns math.inf for draws that land in the never-fires atom
+    (u <= exp(-y/alpha), tested in log space so large y stays exact).
+    """
+    if y <= 0.0:
+        return math.inf
+    if u <= 0.0:
+        u = _TINY
+    lu = math.log(u)
+    arg = 1.0 + (alpha / y) * lu
+    if lu * alpha <= -y or arg <= 0.0:
+        return math.inf
+    t = -math.log(arg) / alpha
+    return t if t > 0.0 else _TINY
+
+
+def sample_secondary_time(y: float, alpha: float, rng: np.random.Generator) -> float:
+    """One draw of the secondary clock at residual y; math.inf = never fires."""
+    if y < 0:
+        raise ValueError("y must be >= 0")
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
+    return secondary_time_from_uniform(y, alpha, rng.random())
+
+
+def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n independent primary-clock draws as an array."""
+    return primary_times_from_exponentials(phi, x, c, rng.standard_exponential(n))
+
+
+def primary_times_from_exponentials(phi: PhiSpec, x: float, c: float, e: np.ndarray) -> np.ndarray:
+    """Vectorised primary inversion applied to given unit exponentials
+    (`phi.invert_many`)."""
+    e = np.maximum(np.asarray(e, dtype=float), _TINY)
+    return phi.invert_many(x, c, e)
+
+
+def sample_secondary_times(y: float, alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n independent secondary-clock draws; the atom appears as np.inf."""
+    return secondary_times_from_uniforms(y, alpha, rng.random(n))
+
+
+def secondary_times_from_uniforms(y: float, alpha: float, u: np.ndarray) -> np.ndarray:
+    """Vectorised secondary inversion applied to given uniforms."""
+    u = np.maximum(np.asarray(u, dtype=float), _TINY)
+    if y <= 0.0:
+        return np.full(u.shape, np.inf)
+    lu = np.log(u)
+    out = np.full(u.shape, np.inf)
+    finite = lu * alpha > -y
+    arg = 1.0 + (alpha / y) * lu[finite]
+    good = arg > 0.0
+    vals = np.full(arg.shape, np.inf)
+    vals[good] = np.maximum(-np.log(arg[good]) / alpha, _TINY)
+    out[finite] = vals
+    return out
+
+
+def primary_survival(phi: PhiSpec, x: float, c: float, t) -> float | np.ndarray:
+    """P(T1 > t) for the primary clock, via the closed-form hazard."""
+    lam = cumulative_hazard_primary(phi, x, c, t)
+    if np.ndim(lam):
+        return np.exp(-np.asarray(lam, dtype=float))
+    return 0.0 if math.isinf(lam) else math.exp(-lam)
+
+
+def secondary_survival(y: float, alpha: float, t) -> float | np.ndarray:
+    """P(T2 > t) for the defective secondary clock."""
+    t = np.asarray(t, dtype=float)
+    out = np.exp(-(y / alpha) * (1.0 - np.exp(-alpha * t)))
+    return float(out) if out.ndim == 0 else out

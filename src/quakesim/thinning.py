@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import EventLog, _new_columns, _to_log
+from .chain import EventLog
 from .model import ModelParams, State, phi_eval
 
 __all__ = ["simulate_thinning"]
@@ -56,7 +56,7 @@ def simulate_thinning(
     x, y = initial.x, initial.y
     t = 0.0
     t_last = 0.0
-    floats, mask = _new_columns()
+    columns: list[list[float]] = [[] for _ in range(6)]  # t, dt, x, y, z, lambda_pre
     reason = "horizon_reached"
 
     while t < horizon:
@@ -92,9 +92,8 @@ def simulate_thinning(
                     t = t + s
                     x = xc - z
                     y = yc + k
-                    for col, v in zip(floats, (t, t - t_last, x, y, z, lam_c)):
+                    for col, v in zip(columns, (t, t - t_last, x, y, z, lam_c)):
                         col.append(v)
-                    mask.append(True)
                     t_last = t
                     accepted = True
                     break
@@ -104,4 +103,5 @@ def simulate_thinning(
             y *= math.exp(-alpha * delta)
 
     horizon_out = horizon if reason == "horizon_reached" else t
-    return _to_log(params, initial, horizon_out, reason, floats, mask)
+    events = np.ones(len(columns[0]), dtype=bool)
+    return EventLog(params, initial, horizon_out, reason, *(np.array(col, dtype=float) for col in columns), events)

@@ -187,7 +187,7 @@ class TestDominanceOp:
         rep = dominance_test(ref_params, "secondary", 0.05, 5.0, 50_000, np.random.default_rng(89))
         swapped = dominance_test(ref_params, "primary", -3.0, 3.0, 50_000, np.random.default_rng(90))
         assert rep.passed and swapped.passed
-        from quakesim.sampler import sample_secondary_times
+        from quakesim.model import sample_secondary_times
         from quakesim.stats import dominance_violation, one_sided_band
 
         rng = np.random.default_rng(91)

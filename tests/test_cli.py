@@ -455,6 +455,26 @@ class TestFlags:
         assert run_command(argv) == 1
         assert capsys.readouterr().err == "error: replications must be >= 1\n"
 
+    # a sample too large for memory is refused before one generator is
+    # spawned per replication: 29 TiB of samples, then too many dimensions
+    @pytest.mark.parametrize("replications", [10**12, 10**30])
+    def test_converge_replications_beyond_memory_exit_one(self, tmp_path, capsys, replications):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ks.csv"
+        argv = ["converge", "--config", str(cfg), "--out", str(out), "--replications", str(replications)]
+        assert run_command(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, threads", [("rate", "0"), ("simulate", "-2")])
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out.txt"
+        assert run_command([command, "--config", str(cfg), "--out", str(out), "--threads", threads]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_dominance_without_draws_exit_one(self, tmp_path, capsys, n):
         cfg = write_config(tmp_path)

@@ -1,6 +1,7 @@
-"""The package's module graph has no import cycles, each phi family and
-stress-drop law is one class that carries its own formulas, and only the
-command-line front end turns results into documents.
+"""The package's module graph has no import cycles, no module takes another
+module's `_`-prefixed names, each phi family and stress-drop law is one
+class that carries its own formulas, and only the command-line front end
+turns results into documents.
 
 Imports are read from the source with ast, so imports inside functions
 count as well as module-level ones: a function-level import only hides a
@@ -84,6 +85,72 @@ def test_cycle_finder_sees_function_level_imports(tmp_path):
     (pkg / "a.py").write_text("from .b import f\n")
     (pkg / "b.py").write_text("def f():\n    from .a import g\n")
     assert find_cycle(import_graph(pkg)) == ["a", "b", "a"]
+
+
+def private_names(package: Path) -> list[str]:
+    """Each `_`-prefixed name that a package module takes from another one,
+    by `from .m import _x` or as the attribute `m._x` of an imported package
+    module, as "module: what".  Dunder names are public by convention."""
+    modules = {p.stem for p in package.glob("*.py")}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    def dotted(node: ast.AST) -> str:
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return getattr(node, "id", "")
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        # dotted names bound to package modules: `import quakesim.m` binds
+        # quakesim.m, `from . import m` and `import quakesim.m as m` bind m
+        bound = {f"{package.name}.{m}": m for m in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == package.name and len(parts) == 2 and alias.asname:
+                        bound[alias.asname] = parts[1]
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if node.level == 0:
+                    if parts[0] != package.name:
+                        continue
+                    parts = parts[1:]
+                source = parts[0] if parts and parts[0] else "__init__"
+                for alias in node.names:
+                    if source == "__init__" and alias.name in modules:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif private(alias.name):
+                        found.append(f"{module}: imports {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr) and dotted(node.value) in bound:
+                found.append(f"{module}: uses {bound[dotted(node.value)]}.{node.attr}")
+    return found
+
+
+def test_no_private_names_cross_modules():
+    assert private_names(PACKAGE) == []
+
+
+def test_private_name_guard_sees_each_kind(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .chain import step\n\n__version__ = '0'\n")
+    (pkg / "chain.py").write_text("def _kernel():\n    pass\n\n\ndef step():\n    return _kernel()\n")
+    (pkg / "foster.py").write_text("from .chain import _kernel, step\n")
+    (pkg / "analysis.py").write_text("from . import chain\n\n\ndef f(log):\n    return chain._kernel, log._segments\n")
+    (pkg / "thinning.py").write_text("import quakesim.chain\n\nk = quakesim.chain._kernel\n")
+    # a dunder name, and a module's own private names, are no finding
+    (pkg / "cli.py").write_text("from . import __version__\n\n_X = 1\n\n\ndef g():\n    return _X\n")
+    assert private_names(pkg) == [
+        "analysis: uses chain._kernel",
+        "foster: imports chain._kernel",
+        "thinning: uses chain._kernel",
+    ]
 
 
 def variant_dispatch(package: Path) -> list[str]:

@@ -31,7 +31,7 @@ from quakesim import (
     theoretical_rate,
     validate_foster,
 )
-from quakesim.sampler import (
+from quakesim.model import (
     primary_survival,
     sample_primary_times,
     sample_secondary_times,

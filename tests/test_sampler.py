@@ -15,16 +15,17 @@ from quakesim import (
     cumulative_hazard_numeric,
     cumulative_hazard_primary,
     sample_interevent,
-    sample_interevent_truncated,
     sample_primary_times,
     sample_secondary_time,
     sample_secondary_times,
+    step,
 )
-from quakesim.sampler import (
+from quakesim.model import (
     primary_survival,
     primary_time_from_exponential,
     primary_times_from_exponentials,
     secondary_survival,
+    secondary_time_from_uniform,
     secondary_times_from_uniforms,
 )
 from quakesim.stats import ks_two_sample
@@ -182,9 +183,28 @@ class TestSecondaryInversion:
         for y, alpha in [(1.0, 1.0), (0.01, 2.0), (300.0, 0.5)]:
             vec = secondary_times_from_uniforms(y, alpha, us)
             scal = np.array(
-                [__import__("quakesim").sampler.secondary_time_from_uniform(y, alpha, float(u)) for u in us]
+                [__import__("quakesim").model.secondary_time_from_uniform(y, alpha, float(u)) for u in us]
             )
             np.testing.assert_allclose(vec, scal, rtol=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for y above about 1e16, 1 + (alpha/y)*log(u) rounds to 1 and every wait floors at 5e-324; "
+        "the log1p form changes output bytes, so it rides with draw contract v2 (ROADMAP item 1)",
+    )
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+    @pytest.mark.parametrize("y", [1e20, 1e300])
+    def test_scaled_shrinkage_at_huge_residual(self, y, batch):
+        # y*E(1 - e^{-alpha*T}) = alpha*(1 - e^{-y/alpha}), about alpha here
+        alpha = 1.0
+        us = np.random.default_rng(32).random(20_000)
+        if batch:
+            t = secondary_times_from_uniforms(y, alpha, us)
+        else:
+            t = np.array([secondary_time_from_uniform(y, alpha, float(u)) for u in us])
+        vals = y * -np.expm1(-alpha * t)
+        se = float(np.std(vals)) / math.sqrt(us.size)
+        assert abs(float(np.mean(vals)) - alpha * -math.expm1(-y / alpha)) <= 5.0 * se
 
     def test_validation(self):
         rng = np.random.default_rng(16)
@@ -269,8 +289,7 @@ class TestTruncatedDraw:
     def test_above_threshold_always_real(self, ref_params):
         rng = np.random.default_rng(25)
         for _ in range(500):
-            d = sample_interevent_truncated(ref_params, State(0.0, 1.0), truncation(2.0, -5.0), rng)
-            assert d.is_real_event
+            assert step(ref_params, State(0.0, 1.0), rng, truncated=truncation(2.0, -5.0))[4]
 
     def test_deep_below_threshold_is_phantom(self):
         # threshold-linear hazard, stress far below threshold: the wait
@@ -281,19 +300,18 @@ class TestTruncatedDraw:
         phantoms = 0
         n = 5000
         for _ in range(n):
-            d = sample_interevent_truncated(params, State(-100.0, 0.0), truncation(v0, -50.0), rng)
-            assert d.t_tilde <= v0
-            phantoms += not d.is_real_event
-            if not d.is_real_event:
-                assert d.t_tilde == v0
+            _, dt, _, _, is_event = step(params, State(-100.0, 0.0), rng, truncated=truncation(v0, -50.0))
+            assert dt <= v0
+            phantoms += not is_event
+            if not is_event:
+                assert dt == v0
         assert phantoms / n >= 0.999
 
     def test_capped_mean(self, ref_params):
         rng = np.random.default_rng(27)
         v0 = 1.5
         draws = [
-            sample_interevent_truncated(ref_params, State(-10.0, 0.2), truncation(v0, -5.0), rng).t_tilde
-            for _ in range(2000)
+            step(ref_params, State(-10.0, 0.2), rng, truncated=truncation(v0, -5.0))[1] for _ in range(2000)
         ]
         assert float(np.mean(draws)) <= v0
 

@@ -185,12 +185,6 @@ class ConvergenceReport:
     alpha: float
     cz_warning: bool
 
-    def at(self, t: float) -> ConvergencePoint:
-        for p in self.points:
-            if p.t == t:
-                return p
-        raise KeyError(t)
-
 
 def convergence_diagnostic(
     params: ModelParams,
@@ -209,7 +203,8 @@ def convergence_diagnostic(
     level-alpha critical value.  Small distances at late times are the
     observable footprint of convergence to a common stationary law.
     Replication counts whose critical value is >= 1 are refused, since no
-    distance could then exceed it.
+    distance could then exceed it.  So is any run in which a chain stops
+    early (InsufficientDataError): it has no state at later grid times.
     """
     if regime(params) is not Regime.SUBCRITICAL:
         raise RegimeError("convergence diagnostic requires the subcritical regime")
@@ -236,16 +231,26 @@ def convergence_diagnostic(
     shape = (replications, len(grid))
     samples = {label: (np.empty(shape), np.empty(shape)) for label in "ab"}
     children = rng.spawn(2 * replications)
+    stops = []  # (stop time, reason) of each chain that stopped early
     for (xs, ys), init, chunk in (
         (samples["a"], init_a, children[:replications]),
         (samples["b"], init_b, children[replications:]),
     ):
         for i, child in enumerate(chunk):
             log = simulate(params, init, stop, child)
+            if log.terminated_reason in EARLY_STOPS:
+                stops.append((log.horizon, log.terminated_reason))
+                continue
             for j, t in enumerate(grid):
-                s = state_at(log, min(t, log.horizon))
+                s = state_at(log, t)
                 xs[i, j] = s.x
                 ys[i, j] = s.y
+    if stops:
+        when, reason = min(stops)
+        raise InsufficientDataError(
+            f"{len(stops)} of {2 * replications} chains stopped early, the first by "
+            f"{EARLY_STOPS[reason]} at t={when:.6g}; no KS distances computed"
+        )
     points = []
     for j, t in enumerate(grid):
         ks_x = ks_two_sample(samples["a"][0][:, j], samples["b"][0][:, j])

@@ -56,8 +56,6 @@ __all__ = [
     "simulate",
     "flow",
     "state_at",
-    "integrated_y",
-    "integrated_phi_x",
     "window_integrals",
 ]
 
@@ -301,22 +299,6 @@ def simulate(
     # the log's columns share the grown buffers, they are not copied
     columns = [np.frombuffer(col, dtype=np.float64) for col in floats]
     return EventLog(params, initial, end, reason, *columns, np.frombuffer(mask, dtype=np.bool_))
-
-
-def integrated_y(log: EventLog) -> float:
-    """Exact integral of the aftershock residual Y(t) over [0, horizon]."""
-    alpha = log.params.alpha
-    t0, _, y0, t1 = log._segments
-    dt = t1 - t0
-    return float(np.sum(y0 * -np.expm1(-alpha * dt)) / alpha)
-
-
-def integrated_phi_x(log: EventLog) -> float:
-    """Exact integral of the primary hazard phi(X(t)) over [0, horizon]."""
-    p = log.params
-    t0, x0, _, t1 = log._segments
-    vals = cumulative_hazard_primary(p.phi, x0, p.c, t1 - t0)
-    return float(np.sum(vals))
 
 
 def window_integrals(log: EventLog, a: float, b: float) -> tuple[int, float, float]:

@@ -9,8 +9,7 @@ everything else to JSON.  Exit codes: 0 success, 1 validation failure,
 3 selftest assertion failure.
 
 Replica i of a run with master seed s draws from the documented substream
-(seed s, spawn key (i,)); aggregation happens in replica order, so
-``--threads N`` changes wall time, never output bytes.
+(seed s, spawn key (i,)); aggregation happens in replica order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -365,20 +363,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-def _run_replicas(cfg: RunConfig, threads: int) -> list[EventLog]:
-    """Simulate all replicas; replica i always uses substream(seed, i), so
-    the result is independent of the thread count."""
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-
-    def one(i: int) -> EventLog:
-        return simulate(cfg.model, cfg.initial, cfg.stop, substream(cfg.seed, i))
-
-    indices = range(cfg.replications)
-    if threads == 1:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, indices))
+def _run_replicas(cfg: RunConfig) -> list[EventLog]:
+    """Simulate all replicas in order; replica i uses substream(seed, i)."""
+    return [simulate(cfg.model, cfg.initial, cfg.stop, substream(cfg.seed, i)) for i in range(cfg.replications)]
 
 
 def _early_stop(logs: list[EventLog]) -> Optional[str]:
@@ -388,7 +375,7 @@ def _early_stop(logs: list[EventLog]) -> Optional[str]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    logs = _run_replicas(cfg, args.threads)
+    logs = _run_replicas(cfg)
     _write_events(args.out or cfg.output.get("events"), logs[0])
     out_summary = args.summary or cfg.output.get("summary")
     if out_summary:
@@ -427,7 +414,7 @@ def _pooled_rate_summary(cfg: RunConfig, logs: list[EventLog]) -> dict:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    logs = _run_replicas(cfg, args.threads)
+    logs = _run_replicas(cfg)
     try:
         body = _pooled_rate_summary(cfg, logs)
     except analysis.InsufficientDataError as e:
@@ -500,9 +487,13 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     init_b = State(*_numbers("--init-b", args.init_b, "x,y"))
     grid = _numbers("--t-grid", args.t_grid)
-    report = analysis.convergence_diagnostic(
-        cfg.model, cfg.initial, init_b, grid, args.replications, substream(cfg.seed, 0)
-    )
+    try:
+        report = analysis.convergence_diagnostic(
+            cfg.model, cfg.initial, init_b, grid, args.replications, substream(cfg.seed, 0)
+        )
+    except analysis.InsufficientDataError as e:
+        print(f"warning: {e}", file=sys.stderr)
+        return EXIT_EARLY_STOP
     points = [_record(p, "below") for p in report.points]
     _emit(args.out, {**asdict(report), "points": points}, args.format, table="points")
     return EXIT_OK
@@ -626,7 +617,6 @@ _SHARED_OPTIONS = {
     "--config": dict(required=True, help="path to JSON run configuration"),
     "--out": dict(default=None, help="output path (stdout when omitted)"),
     "--seed": dict(type=int, default=None, help="override the config seed"),
-    "--threads": dict(type=int, default=1, help="replication fan-out (default 1)"),
     "--format": dict(choices=["csv", "json"], default="csv", help="tabular output format"),
 }
 
@@ -642,10 +632,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         return sp
 
-    sp = command("simulate", _cmd_simulate, "event log CSV plus summary JSON", "--config --out --seed --threads")
+    sp = command("simulate", _cmd_simulate, "event log CSV plus summary JSON", "--config --out --seed")
     sp.add_argument("--summary", default=None, help="summary JSON path")
 
-    command("rate", _cmd_rate, "rate estimates with batch-means errors (JSON)", "--config --out --seed --threads")
+    command("rate", _cmd_rate, "rate estimates with batch-means errors (JSON)", "--config --out --seed")
 
     sp = command("foster", _cmd_foster, "drift construction and constraint report (JSON)", "--config --out --seed")
     sp.add_argument("--weights", default="100,10,1", help="r1,r2,r3")

@@ -421,10 +421,6 @@ class ReturnTimeStats:
         return float(np.mean(self.taus)) if self.taus.size else math.nan
 
     @property
-    def median(self) -> float:
-        return float(np.median(self.taus)) if self.taus.size else math.nan
-
-    @property
     def max(self) -> int:
         return int(np.max(self.taus)) if self.taus.size else 0
 

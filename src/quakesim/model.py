@@ -78,13 +78,11 @@ __all__ = [
     "Regime",
     "regime",
     "phi_eval",
-    "intensity",
     "intensity_saturated",
     "cumulative_hazard_primary",
     "cumulative_hazard_numeric",
     "primary_time_from_exponential",
     "secondary_time_from_uniform",
-    "sample_secondary_time",
     "sample_primary_times",
     "primary_times_from_exponentials",
     "sample_secondary_times",
@@ -398,12 +396,6 @@ class FosterConfig:
         if not math.isfinite(self.x1):
             raise ValueError("x1 must be finite")
 
-    def lyapunov(self, x: float, y: float) -> float:
-        """Test function L at a single state."""
-        if x >= 0:
-            return self.r1 * x + self.r2 * y
-        return self.r3 * (-x) + self.r2 * y
-
     def lyapunov_x(self, x):
         """Stress part of L; scalar or array."""
         x = np.asarray(x, dtype=float)
@@ -438,12 +430,6 @@ def phi_eval(phi: PhiSpec, x) -> float | np.ndarray:
     saturation diagnostic downstream.
     """
     return phi.at(x)
-
-
-def intensity(params: ModelParams, state: State) -> float:
-    """Conditional intensity phi(x) + y, clipped at the saturation cap."""
-    lam = phi_eval(params.phi, state.x) + state.y
-    return min(lam, params.intensity_cap)
 
 
 def intensity_saturated(params: ModelParams, state: State) -> bool:
@@ -552,15 +538,6 @@ def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
     return t if t > 0.0 else _TINY
 
 
-def sample_secondary_time(y: float, alpha: float, rng: np.random.Generator) -> float:
-    """One draw of the secondary clock at residual y; math.inf = never fires."""
-    if y < 0:
-        raise ValueError("y must be >= 0")
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
-    return secondary_time_from_uniform(y, alpha, rng.random())
-
-
 def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent primary-clock draws as an array."""
     return primary_times_from_exponentials(phi, x, c, rng.standard_exponential(n))
@@ -575,6 +552,10 @@ def primary_times_from_exponentials(phi: PhiSpec, x: float, c: float, e: np.ndar
 
 def sample_secondary_times(y: float, alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent secondary-clock draws; the atom appears as np.inf."""
+    if not 0.0 <= y < _INF:
+        raise ValueError(f"y must be finite and >= 0, got {y}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     return secondary_times_from_uniforms(y, alpha, rng.random(n))
 
 

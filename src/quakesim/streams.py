@@ -8,8 +8,7 @@ master seed s draws from
         numpy.random.SeedSequence(entropy=s, spawn_key=(i,))))
 
 Replica streams are independent of each other and of how many replicas run
-or in what order, which is what makes threaded fan-out byte-identical to
-sequential execution.
+or in what order.
 """
 
 from __future__ import annotations

@@ -172,6 +172,14 @@ class TestConvergence:
         rep = convergence_diagnostic(ref_params, origin, origin, [1.0], 6, np.random.default_rng(87))
         assert rep.points[0].threshold < 1.0
 
+    def test_refuses_chains_that_stop_early(self, ref_params, origin):
+        # phi(40) = e^40 is above the 1e12 cap: every chain from there stops
+        # at t=0 and has no state at the grid times
+        hot = State(40.0, 0.0)
+        msg = "6 of 12 chains stopped early, the first by intensity saturation at t=0;"
+        with pytest.raises(InsufficientDataError, match=msg):
+            convergence_diagnostic(ref_params, hot, origin, [1.0, 5.0], 6, np.random.default_rng(87))
+
 
 class TestDominanceOp:
     @pytest.mark.parametrize(
@@ -200,6 +208,9 @@ class TestDominanceOp:
             dominance_test(ref_params, "nope", 0.0, 1.0, 100, np.random.default_rng(92))
         with pytest.raises(ValueError, match="param_low"):
             dominance_test(ref_params, "primary", 2.0, 1.0, 100, np.random.default_rng(93))
+        # a negative residual would give all-infinite waits: violation 0 on no evidence
+        with pytest.raises(ValueError, match="y must be finite and >= 0"):
+            dominance_test(ref_params, "secondary", -1.0, 5.0, 1000, np.random.default_rng(93))
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_needs_a_draw(self, ref_params, n):

@@ -16,8 +16,6 @@ from quakesim import (
     estimate_rates,
     flow,
     foster_params,
-    integrated_phi_x,
-    integrated_y,
     master,
     simulate,
     state_at,
@@ -138,7 +136,7 @@ class TestSimulate:
         assert log.terminated_reason == "time_resolution"
         assert log.lambda_pre[-1] < ref_params.intensity_cap
         # the segment integrals over that log stay finite
-        assert math.isfinite(integrated_phi_x(log))
+        assert math.isfinite(window_integrals(log, 0.0, log.horizon)[2])
         stats = estimate_rates(log)
         numbers = [v for v in asdict(stats).values() if isinstance(v, float)]
         numbers += [v for v in stats.diagnostics.values() if isinstance(v, float)]
@@ -204,7 +202,6 @@ class TestTruncatedChain:
         # integrals still well-defined with phantoms interleaved
         total = window_integrals(log, 0.0, log.horizon)
         assert total[0] == log.event_count
-        assert total[1] == pytest.approx(integrated_y(log), rel=1e-12, abs=1e-12)
 
 
 class TestStateReconstruction:
@@ -251,30 +248,30 @@ class TestIntegrals:
         # integral of e^{-t} over [0, log 2] is 1/2
         row = (math.log(2.0), math.log(2.0), 0.0, 1.0, 1.0, 1.0)
         log = _manual_log(ref_params, State(0.0, 1.0), [row], math.log(2.0))
-        assert integrated_y(log) == pytest.approx(0.5, rel=1e-12)
+        assert window_integrals(log, 0.0, log.horizon)[1] == pytest.approx(0.5, rel=1e-12)
 
     def test_empty_log_zero_y(self, ref_params):
         log = _manual_log(ref_params, State(0.0, 0.0), [], 7.0)
-        assert integrated_y(log) == 0.0
+        assert window_integrals(log, 0.0, log.horizon)[1] == 0.0
 
     def test_single_segment_phi(self, ref_params):
         oracle = cumulative_hazard_numeric(ref_params.phi, 0.0, 1.0, 1.0)
         row = (1.0, 1.0, -1.0, 0.5, 2.0, math.e)
         log = _manual_log(ref_params, State(0.0, 0.0), [row], 1.0)
-        assert integrated_phi_x(log) == pytest.approx(oracle, rel=1e-9)
-        assert integrated_phi_x(log) == pytest.approx(math.e - 1.0, rel=1e-12)
+        int_phi = window_integrals(log, 0.0, log.horizon)[2]
+        assert int_phi == pytest.approx(oracle, rel=1e-9)
+        assert int_phi == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_zero_length_log(self, ref_params):
         log = _manual_log(ref_params, State(0.0, 0.0), [], 0.0, "event_budget")
-        assert integrated_phi_x(log) == 0.0
-        assert integrated_y(log) == 0.0
+        assert window_integrals(log, 0.0, log.horizon) == (0, 0.0, 0.0)
 
     def test_tail_segment_included(self, ref_params):
         # one event at t=1, horizon 3: the tail [1, 3] must contribute
         row = (1.0, 1.0, 0.0, 2.0, 1.0, 1.0)
         log = _manual_log(ref_params, State(0.0, 0.0), [row], 3.0)
         tail = 2.0 * (1.0 - math.exp(-2.0)) / 1.0
-        assert integrated_y(log) == pytest.approx(tail, rel=1e-12)
+        assert window_integrals(log, 0.0, log.horizon)[1] == pytest.approx(tail, rel=1e-12)
 
     def test_window_additivity(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=400.0), np.random.default_rng(61))
@@ -283,18 +280,18 @@ class TestIntegrals:
         assert sum(p[0] for p in parts) == full[0] == log.event_count
         assert sum(p[1] for p in parts) == pytest.approx(full[1], rel=1e-10)
         assert sum(p[2] for p in parts) == pytest.approx(full[2], rel=1e-10)
-        assert full[1] == pytest.approx(integrated_y(log), rel=1e-12)
-        assert full[2] == pytest.approx(integrated_phi_x(log), rel=1e-12)
 
     def test_rate_balance(self, ref_params, origin):
         # events/horizon against the exact intensity integral: the counting
         # martingale makes these agree within Monte Carlo error
         log = simulate(ref_params, origin, StopRule(horizon=20_000.0), np.random.default_rng(62))
         n = log.event_count
-        total = integrated_phi_x(log) + integrated_y(log)
+        _, int_y, int_phi = window_integrals(log, 0.0, log.horizon)
+        total = int_phi + int_y
         assert abs(n - total) <= 4.0 * math.sqrt(n)
 
     def test_long_run_aftershock_share(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=20_000.0), np.random.default_rng(63))
-        assert integrated_y(log) / log.horizon == pytest.approx(0.25, abs=0.02)
-        assert integrated_phi_x(log) / log.horizon == pytest.approx(0.25, abs=0.02)
+        _, int_y, int_phi = window_integrals(log, 0.0, log.horizon)
+        assert int_y / log.horizon == pytest.approx(0.25, abs=0.02)
+        assert int_phi / log.horizon == pytest.approx(0.25, abs=0.02)

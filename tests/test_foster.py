@@ -166,8 +166,8 @@ class TestReturnTimes:
         far = State(cfg.x0 + 20.0, 1.0)
         rt_near = return_times(params, cfg, near, 300, np.random.default_rng(214))
         rt_far = return_times(params, cfg, far, 300, np.random.default_rng(215))
-        l_near = cfg.lyapunov(near.x, near.y)
-        l_far = cfg.lyapunov(far.x, far.y)
+        l_near = cfg.lyapunov_x(near.x) + cfg.r2 * near.y
+        l_far = cfg.lyapunov_x(far.x) + cfg.r2 * far.y
         assert rt_far.mean / rt_near.mean <= 2.0 * (l_far + 1.0) / (l_near + 1.0)
 
     def test_requires_subcritical(self, ref_config):
@@ -180,8 +180,8 @@ class TestReturnTimes:
 class TestConfigType:
     def test_lyapunov_evaluation(self):
         cfg = FosterConfig(2.0, 3.0, 1.0, 0.1, 5.0, 4.0, 10.0, -20.0, 0.25)
-        assert cfg.lyapunov(2.0, 1.0) == 2.0 * 2.0 + 3.0 * 1.0
-        assert cfg.lyapunov(-2.0, 1.0) == 1.0 * 2.0 + 3.0 * 1.0
+        assert cfg.lyapunov_x(2.0) + cfg.r2 * 1.0 == 2.0 * 2.0 + 3.0 * 1.0
+        assert cfg.lyapunov_x(-2.0) + cfg.r2 * 1.0 == 1.0 * 2.0 + 3.0 * 1.0
         assert cfg.in_recurrent_set(0.0, 0.0)
         assert not cfg.in_recurrent_set(6.0, 0.0)
         assert not cfg.in_recurrent_set(0.0, 5.0)

@@ -231,3 +231,53 @@ def test_document_guard_sees_each_kind(tmp_path):
         "foster: B.to_dict",
         "stats: C.to_json_dict",
     ]
+
+
+# exported functions that nothing in the package calls, each kept on purpose
+UNREAD_BY_DESIGN = (
+    ("primary_survival", "closed-form oracle the sampler tests compare draws with"),
+    ("secondary_survival", "closed-form oracle the sampler tests compare draws with"),
+    ("simulate_thinning", "independent thinning oracle the chain tests compare logs with"),
+    ("return_times", "library probe of hitting times of V, documented in the README"),
+)
+
+
+def unread_exports(package: Path, allowed: tuple = ()) -> list[str]:
+    """Each module-level function named in a module's `__all__` that no
+    package module reads, as "module.name".  Its own `def`, the `__all__`
+    lists and `__init__` are no readers; neither is a name in `allowed`."""
+    exported = []
+    read: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        functions = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported += [(path.stem, e.value) for e in node.value.elts if e.value in functions]
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name is not None and name != own:
+                    read.add(name)
+    skip = {name for name, _ in allowed}
+    return [f"{module}.{name}" for module, name in exported if name not in read and name not in skip]
+
+
+def test_every_exported_function_is_read_in_the_package():
+    assert unread_exports(PACKAGE, UNREAD_BY_DESIGN) == []
+
+
+def test_unread_export_guard_sees_each_kind(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .model import a, b, c, d\n\n__all__ = ['a', 'b', 'c', 'd']\n")
+    # d calls only itself; c is read by chain; K is a constant, not a function
+    (pkg / "model.py").write_text(
+        "__all__ = ['a', 'b', 'c', 'd', 'K']\n\nK = 1\n\n\ndef a():\n    pass\n\n\n"
+        "def b():\n    pass\n\n\ndef c():\n    pass\n\n\ndef d(n):\n    return d(n - 1)\n"
+    )
+    (pkg / "chain.py").write_text("from . import model\n\n\ndef e():\n    return model.c()\n")
+    assert unread_exports(pkg) == ["model.a", "model.b", "model.d"]
+    assert unread_exports(pkg, (("b", "kept"),)) == ["model.a", "model.d"]

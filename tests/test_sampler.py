@@ -16,7 +16,6 @@ from quakesim import (
     cumulative_hazard_primary,
     sample_interevent,
     sample_primary_times,
-    sample_secondary_time,
     sample_secondary_times,
     step,
 )
@@ -153,7 +152,7 @@ class TestSecondaryInversion:
     def test_zero_residual_never_fires(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
-            assert sample_secondary_time(0.0, 1.0, rng) == math.inf
+            assert secondary_time_from_uniform(0.0, 1.0, rng.random()) == math.inf
 
     def test_atom_fraction(self):
         rng = np.random.default_rng(13)
@@ -208,10 +207,12 @@ class TestSecondaryInversion:
 
     def test_validation(self):
         rng = np.random.default_rng(16)
-        with pytest.raises(ValueError):
-            sample_secondary_time(-1.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_secondary_time(1.0, 0.0, rng)
+        for y in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="y must be finite and >= 0"):
+                sample_secondary_times(y, 1.0, rng, 10)
+        for alpha in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be > 0"):
+                sample_secondary_times(1.0, alpha, rng, 10)
 
 
 class TestInterevent:

@@ -44,6 +44,10 @@ __all__ = [
     "supercritical_probe",
 ]
 
+_BATCHES = 20  # batch-means batches in estimate_rates
+_LEVEL = 0.01  # significance level of the KS checks
+
+
 class RegimeError(ValueError):
     """Raised when an operation requires a regime the parameters are not in."""
 
@@ -97,20 +101,17 @@ class SummaryStats:
 def estimate_rates(
     log: EventLog,
     burn_in_fraction: float = 0.1,
-    batches: int = 20,
 ) -> SummaryStats:
     """Estimate the event rate and its two components from a trajectory.
 
     The first `burn_in_fraction` of the horizon is discarded (the theory is
     about the stationary regime; the transient biases finite runs), the
-    rest is split into equal-length batches, and standard errors come from
-    the batch scatter.  The balance residual rate - lambda1 - lambda2 and
+    rest is split into _BATCHES equal-length batches, and standard errors
+    come from the batch scatter.  The balance residual rate - lambda1 - lambda2 and
     its standard error are reported in `diagnostics`.
     """
     if not 0.0 <= burn_in_fraction < 1.0:
         raise ValueError("burn_in_fraction must be in [0, 1)")
-    if batches < 2:
-        raise ValueError("need at least 2 batches")
     if log.horizon <= 0 or not log.t.size:
         raise InsufficientDataError("insufficient data: empty log")
     if burn_in_fraction == 0.0:
@@ -120,17 +121,17 @@ def estimate_rates(
         )
     t_burn = burn_in_fraction * log.horizon
     span = log.horizon - t_burn
-    edges = np.linspace(t_burn, log.horizon, batches + 1)
-    counts = np.empty(batches)
-    int_y = np.empty(batches)
-    int_phi = np.empty(batches)
-    for i in range(batches):
+    edges = np.linspace(t_burn, log.horizon, _BATCHES + 1)
+    counts = np.empty(_BATCHES)
+    int_y = np.empty(_BATCHES)
+    int_phi = np.empty(_BATCHES)
+    for i in range(_BATCHES):
         n_i, y_i, p_i = window_integrals(log, float(edges[i]), float(edges[i + 1]))
         counts[i], int_y[i], int_phi[i] = n_i, y_i, p_i
     n_events = int(np.sum(counts))
     if n_events == 0:
         raise InsufficientDataError("insufficient data: no events after burn-in")
-    width = span / batches
+    width = span / _BATCHES
     rates = counts / width
     l2 = int_y / width
     l1 = int_phi / width
@@ -161,7 +162,7 @@ def estimate_rates(
         n_events=n_events,
         horizon_effective=span,
         burn_in_fraction=burn_in_fraction,
-        batches=batches,
+        batches=_BATCHES,
         diagnostics=diagnostics,
     )
 
@@ -193,14 +194,13 @@ def convergence_diagnostic(
     t_grid: Sequence[float],
     replications: int,
     rng: np.random.Generator,
-    alpha: float = 0.01,
 ) -> ConvergenceReport:
     """Two-chain convergence check: KS distance per coordinate over time.
 
     Runs `replications` independent natural trajectories from each initial
     state, reconstructs (X(t), Y(t)) at each grid time, and compares the
     two per-coordinate samples with the two-sample KS distance against the
-    level-alpha critical value.  Small distances at late times are the
+    critical value at level _LEVEL.  Small distances at late times are the
     observable footprint of convergence to a common stationary law.
     Replication counts whose critical value is >= 1 are refused, since no
     distance could then exceed it.  So is any run in which a chain stops
@@ -210,7 +210,7 @@ def convergence_diagnostic(
         raise RegimeError("convergence diagnostic requires the subcritical regime")
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    thr = ks_critical_value(replications, replications, alpha)
+    thr = ks_critical_value(replications, replications, _LEVEL)
     cz_missing = params.z.density_floor() is None
     if cz_missing:
         warnings.warn(
@@ -256,7 +256,7 @@ def convergence_diagnostic(
         ks_x = ks_two_sample(samples["a"][0][:, j], samples["b"][0][:, j])
         ks_y = ks_two_sample(samples["a"][1][:, j], samples["b"][1][:, j])
         points.append(ConvergencePoint(t, ks_x, ks_y, thr))
-    return ConvergenceReport(tuple(points), replications, alpha, cz_missing)
+    return ConvergenceReport(tuple(points), replications, _LEVEL, cz_missing)
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,6 @@ def dominance_test(
     param_high: float,
     n: int,
     rng: np.random.Generator,
-    alpha: float = 0.01,
 ) -> DominanceReport:
     """One-sided empirical check of the clock orderings.
 
@@ -293,8 +292,8 @@ def dominance_test(
                               stochastically with x
 
     The report carries the largest CDF-ordering violation and the
-    level-alpha one-sided band it must stay under.  Sizes n whose band is
-    >= 1 are refused, since no violation could then exceed it.
+    one-sided band at level _LEVEL it must stay under.  Sizes n whose band
+    is >= 1 are refused, since no violation could then exceed it.
     """
     if family not in _DOMINANCE_FAMILIES:
         raise ValueError(f"family must be one of {_DOMINANCE_FAMILIES}, got {family!r}")
@@ -302,7 +301,7 @@ def dominance_test(
         raise ValueError("need param_low < param_high")
     if n < 1:
         raise ValueError("n must be >= 1")
-    band = one_sided_band(n, n, alpha)
+    band = one_sided_band(n, n, _LEVEL)
     if family == "secondary":
         hi = sample_secondary_times(param_low, params.alpha, rng, n)
         lo = sample_secondary_times(param_high, params.alpha, rng, n)
@@ -321,8 +320,8 @@ def dominance_test(
 @dataclass(frozen=True)
 class LemmaRow:
     y: float
-    mc_value: float
-    mc_se: float
+    mc: float
+    se: float
     exact: float
 
 
@@ -393,7 +392,7 @@ def supercritical_probe(
     report is purely informational.
     """
     log = simulate(params, initial, StopRule(max_events=budget, horizon=horizon), rng)
-    t_end = log.horizon if log.horizon > 0 else (float(log.t[-1]) if log.t.size else 0.0)
+    t_end = log.horizon
     times = log.event_times
     if t_end <= 0:
         rates = (0.0, 0.0, 0.0, 0.0)

@@ -29,6 +29,7 @@ tail segment between the last event and the horizon.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,10 +78,11 @@ class StopRule:
     def __post_init__(self) -> None:
         if self.max_events is None and self.horizon is None:
             raise ValueError("set max_events, horizon, or both")
-        if self.max_events is not None and self.max_events < 0:
-            raise ValueError(f"max_events must be >= 0, got {self.max_events}")
-        if self.horizon is not None and not self.horizon > 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        m = self.max_events
+        if m is not None and (isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 0):
+            raise ValueError(f"max_events must be an integer >= 0, got {m!r}")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
 @dataclass(eq=False)

@@ -520,10 +520,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 def _cmd_lemma_l2(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     grid = _numbers("--y-grid", args.y_grid)
-    rows = [
-        {"y": r.y, "mc": r.mc_value, "se": r.mc_se, "exact": r.exact}
-        for r in analysis.lemma_l2_check(cfg.model.alpha, grid, args.n, substream(cfg.seed, 0))
-    ]
+    rows = [asdict(r) for r in analysis.lemma_l2_check(cfg.model.alpha, grid, args.n, substream(cfg.seed, 0))]
     _emit(args.out, {"rows": rows}, args.format, table="rows")
     return EXIT_OK
 

@@ -74,7 +74,8 @@ __all__ = [
     "return_times",
 ]
 
-_MC_N = 100_000
+_MC_N = 100_000  # Monte Carlo draws per construction mean; validation takes twice as many
+_RETURN_BUDGET = 1_000_000  # steps per replication in return_times
 _MARGIN = 1.2  # multiplicative safety on Monte Carlo-backed choices
 # largest admissible log(v0); keeps c*v0, |x1| and r*|x| finite in float64
 _LN_V0_HEADROOM = 706.0
@@ -107,15 +108,6 @@ class ConstraintReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> ConstraintCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
 
 
 def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> float:
@@ -170,17 +162,15 @@ def foster_params(
     r1: float,
     r2: float,
     r3: float,
-    rng: Optional[np.random.Generator] = None,
-    n: int = _MC_N,
+    rng: np.random.Generator,
 ) -> FosterConfig:
     """Construct a validated drift configuration for the given weights.
 
+    The Monte Carlo means take one common set of _MC_N draws from `rng`.
     Raises WeightConstraintError when the weight triple violates an order
     constraint (the message names it) and FosterInfeasibleError when the
     required constants cannot be represented in float64.
     """
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     delta = _check_weights(params, r1, r2, r3)
     c, k, alpha = params.c, params.k, params.alpha
     ez = params.z.expectation()
@@ -188,8 +178,8 @@ def foster_params(
 
     # common random numbers: one draw set reused across all bisection
     # probes keeps every probed expectation monotone in the parameter
-    e_draws = rng.standard_exponential(n)
-    u_draws = rng.random(n)
+    e_draws = rng.standard_exponential(_MC_N)
+    u_draws = rng.random(_MC_N)
 
     # x0: primary wait and overshoot budgets, each at most gamma
     def x0_excess(x: float) -> float:
@@ -260,20 +250,18 @@ def foster_params(
 def validate_foster(
     params: ModelParams,
     config: FosterConfig,
-    rng: Optional[np.random.Generator] = None,
-    n: int = 2 * _MC_N,
+    rng: np.random.Generator,
 ) -> ConstraintReport:
     """Re-check every inequality with fresh randomness and report margins.
 
     Algebraic constraints are re-derived exactly; expectation constraints
-    are re-estimated by independent Monte Carlo (no common random numbers
-    with the construction); the phantom push is checked in log space, so
-    its margin is in log units.  A constraint passes when its margin is
+    are re-estimated by independent Monte Carlo from `rng`, 2*_MC_N draws
+    per expectation (no common random numbers with the construction); the
+    phantom push is checked in log space, so its margin is in log units.  A constraint passes when its margin is
     >= 0.  Constraints quantified over y >= y0 or x <= x1 are checked at
     the binding corner, where monotonicity makes them tightest.
     """
-    if rng is None:
-        rng = np.random.default_rng(0xF0551)
+    n = 2 * _MC_N
     c, k, alpha = params.c, params.k, params.alpha
     ez = params.z.expectation()
     r1, r2, r3 = config.r1, config.r2, config.r3
@@ -416,14 +404,6 @@ class ReturnTimeStats:
     budget: int
     replications: int
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.taus)) if self.taus.size else math.nan
-
-    @property
-    def max(self) -> int:
-        return int(np.max(self.taus)) if self.taus.size else 0
-
 
 def return_times(
     params: ModelParams,
@@ -431,12 +411,12 @@ def return_times(
     initial: State,
     replications: int,
     rng: np.random.Generator,
-    budget: int = 1_000_000,
 ) -> ReturnTimeStats:
     """Empirical first hitting time min{n >= 1: state_n in V} from `initial`.
 
-    Budget exhaustion is reported, not fatal.  Requires a subcritical
-    configuration (positive recurrence has no content otherwise).
+    Each replication runs at most _RETURN_BUDGET steps; budget exhaustion
+    is reported, not fatal.  Requires a subcritical configuration
+    (positive recurrence has no content otherwise).
     """
     if regime(params) is not Regime.SUBCRITICAL:
         raise ValueError("return times require a subcritical configuration")
@@ -447,7 +427,7 @@ def return_times(
     for child in rng.spawn(replications):
         state = initial
         hit = 0
-        for n in range(1, budget + 1):
+        for n in range(1, _RETURN_BUDGET + 1):
             state = step(params, state, child, truncated=config)[0]
             if config.in_recurrent_set(state.x, state.y):
                 hit = n
@@ -456,4 +436,4 @@ def return_times(
             taus.append(hit)
         else:
             exhausted += 1
-    return ReturnTimeStats(np.array(taus, dtype=float), exhausted, budget, replications)
+    return ReturnTimeStats(np.array(taus, dtype=float), exhausted, _RETURN_BUDGET, replications)

@@ -95,6 +95,7 @@ __all__ = [
 _EXP_OVERFLOW = 709.0
 _INF = math.inf
 _CRITICAL_EPS = 1e-12
+_QUADRATURE_TOL = 1e-12  # relative tolerance of cumulative_hazard_numeric
 _TINY = 5e-324  # smallest positive subnormal; floor for open-interval draws
 
 
@@ -105,8 +106,8 @@ class ExponentialPhi:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < _INF:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     def at(self, x) -> float | np.ndarray:
         scalar = type(x) is float  # the event loop's case: `math` only, no array
@@ -180,8 +181,8 @@ class ThresholdLinearPhi:
     slope: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.slope > 0:
-            raise ValueError(f"slope must be > 0, got {self.slope}")
+        if not 0 < self.slope < _INF:
+            raise ValueError(f"slope must be finite and > 0, got {self.slope}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
 
@@ -234,8 +235,8 @@ class ExponentialZ:
     mean: float
 
     def __post_init__(self) -> None:
-        if not self.mean > 0:
-            raise ValueError(f"mean must be > 0, got {self.mean}")
+        if not 0 < self.mean < _INF:
+            raise ValueError(f"mean must be finite and > 0, got {self.mean}")
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.mean * rng.standard_exponential()
@@ -266,8 +267,8 @@ class UniformZ:
     def __post_init__(self) -> None:
         if self.low < 0:
             raise ValueError(f"low must be >= 0, got {self.low}")
-        if not self.high > self.low:
-            raise ValueError(f"need high > low, got [{self.low}, {self.high}]")
+        if not self.low < self.high < _INF:
+            raise ValueError(f"need finite high > low, got [{self.low}, {self.high}]")
 
     def draw(self, rng: np.random.Generator) -> float:
         return rng.uniform(self.low, self.high)
@@ -296,8 +297,8 @@ class DeterministicZ:
     value: float
 
     def __post_init__(self) -> None:
-        if not self.value > 0:
-            raise ValueError(f"value must be > 0, got {self.value}")
+        if not 0 < self.value < _INF:
+            raise ValueError(f"value must be finite and > 0, got {self.value}")
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
@@ -339,14 +340,14 @@ class ModelParams:
     intensity_cap: float = 1e12
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if not self.k >= 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.intensity_cap > 0:
-            raise ValueError(f"intensity_cap must be > 0, got {self.intensity_cap}")
+        if not 0 < self.c < _INF:
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
+        if not 0 <= self.k < _INF:
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
+        if not 0 < self.alpha < _INF:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.intensity_cap < _INF:
+            raise ValueError(f"intensity_cap must be finite and > 0, got {self.intensity_cap}")
 
 
 @dataclass(frozen=True)
@@ -412,12 +413,12 @@ class Regime(enum.Enum):
     SUPERCRITICAL = "supercritical"
 
 
-def regime(params: ModelParams, eps: float = _CRITICAL_EPS) -> Regime:
-    """Classify k/alpha against 1 with tolerance eps."""
+def regime(params: ModelParams) -> Regime:
+    """Classify k/alpha against 1 with tolerance _CRITICAL_EPS."""
     ratio = params.k / params.alpha
-    if ratio < 1.0 - eps:
+    if ratio < 1.0 - _CRITICAL_EPS:
         return Regime.SUBCRITICAL
-    if abs(ratio - 1.0) <= eps:
+    if abs(ratio - 1.0) <= _CRITICAL_EPS:
         return Regime.CRITICAL
     return Regime.SUPERCRITICAL
 
@@ -467,13 +468,13 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int, fa, fm, fb,
     )
 
 
-def cumulative_hazard_numeric(phi: PhiSpec, x: float, c: float, t: float, tol: float = 1e-12) -> float:
+def cumulative_hazard_numeric(phi: PhiSpec, x: float, c: float, t: float) -> float:
     """Adaptive-Simpson quadrature of the primary hazard integral.
 
     Reference path only: tests use it as an independent oracle for
     `cumulative_hazard_primary`; production code always takes the closed
-    form.  `tol` is interpreted relative to a coarse estimate of the
-    integral so that large-magnitude hazards are handled sensibly.
+    form.  The tolerance _QUADRATURE_TOL is relative to a coarse estimate
+    of the integral, so that large-magnitude hazards are handled sensibly.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -492,7 +493,7 @@ def cumulative_hazard_numeric(phi: PhiSpec, x: float, c: float, t: float, tol: f
         coarse += (edges[i + 1] - edges[i]) / 6.0 * (
             vals[i] + 4.0 * f(0.5 * (edges[i] + edges[i + 1])) + vals[i + 1]
         )
-    eps = tol * max(1.0, abs(coarse))
+    eps = _QUADRATURE_TOL * max(1.0, abs(coarse))
     total = 0.0
     for i in range(16):
         a, b = float(edges[i]), float(edges[i + 1])

@@ -79,8 +79,11 @@ class MeanCI(NamedTuple):
     n: int
 
 
-def mean_ci(samples: np.ndarray, z: float = 2.5758293035489004) -> MeanCI:
-    """Mean with a normal confidence interval (default 99% two-sided).
+_Z99 = 2.5758293035489004  # standard normal quantile of a two-sided 99% interval
+
+
+def mean_ci(samples: np.ndarray) -> MeanCI:
+    """Mean with a normal 99% two-sided confidence interval.
 
     Rescales before computing the variance so that samples of astronomical
     magnitude (they do occur in the drift diagnostics) cannot overflow the
@@ -98,7 +101,7 @@ def mean_ci(samples: np.ndarray, z: float = 2.5758293035489004) -> MeanCI:
     sd = float(np.std(xs, ddof=1))
     se = sd * scale / math.sqrt(n)
     mean = m * scale
-    return MeanCI(mean, se, mean - z * se, mean + z * se, n)
+    return MeanCI(mean, se, mean - _Z99 * se, mean + _Z99 * se, n)
 
 
 def batch_se(values: np.ndarray) -> float:

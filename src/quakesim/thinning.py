@@ -35,8 +35,8 @@ def simulate_thinning(
     params: ModelParams,
     initial: State,
     horizon: float,
+    rng: np.random.Generator,
     window: Optional[float] = None,
-    rng: np.random.Generator | None = None,
 ) -> EventLog:
     """Simulate on [0, horizon] by thinning; same log schema as `simulate`.
 
@@ -45,8 +45,6 @@ def simulate_thinning(
     a candidate ever sees intensity above the window bound (that would mean
     the bound argument is broken, so it is checked on every proposal).
     """
-    if rng is None:
-        raise ValueError("rng is required")
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     if window is not None and not window > 0:

@@ -55,17 +55,17 @@ class TestConstruction:
     def test_weight_rejections_name_the_constraint(self, ref_config):
         params, _ = ref_config
         with pytest.raises(WeightConstraintError, match="weights_order"):
-            foster_params(params, 1.0, 10.0, 100.0)
+            foster_params(params, 1.0, 10.0, 100.0, np.random.default_rng(201))
         with pytest.raises(WeightConstraintError, match="weights_y_gain"):
-            foster_params(params, 100.0, 1.0, 10.0)
+            foster_params(params, 100.0, 1.0, 10.0, np.random.default_rng(201))
         # r1*E[Z] <= r2*k: E[Z]=2, k=0.5 needs r2 >= 4*r1
         with pytest.raises(WeightConstraintError, match="weights_x_gain"):
-            foster_params(params, 1.0, 9.0, 0.001)
+            foster_params(params, 1.0, 9.0, 0.001, np.random.default_rng(201))
 
     def test_supercritical_rejected(self):
         p = ModelParams(1.0, 2.0, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
         with pytest.raises(WeightConstraintError, match="subcritical"):
-            foster_params(p, 100.0, 10.0, 1.0)
+            foster_params(p, 100.0, 10.0, 1.0, np.random.default_rng(201))
 
     def test_infeasible_weights_raise(self, ref_config):
         # r1 so large that v0 ~ exp(r1*c/gamma) cannot fit in float64
@@ -77,7 +77,7 @@ class TestConstruction:
         params = ModelParams(1.0, 0.5, 1.0, ThresholdLinearPhi(0.0, 1.0), UniformZ(1.0, 3.0))
         cfg = foster_params(params, 5.0, 2.0, 0.1, rng=np.random.default_rng(202))
         report = validate_foster(params, cfg, rng=np.random.default_rng(203))
-        assert report.passed, report.failures()
+        assert report.passed, [c.name for c in report.checks if not c.passed]
 
     def test_reproducible(self, ref_config):
         params, cfg = ref_config
@@ -89,7 +89,7 @@ class TestValidation:
     def test_construction_passes(self, ref_config):
         params, cfg = ref_config
         report = validate_foster(params, cfg, rng=np.random.default_rng(204))
-        assert report.passed, report.failures()
+        assert report.passed, [c.name for c in report.checks if not c.passed]
         for check in report.checks:
             assert check.margin >= 0.0, check
 
@@ -98,24 +98,22 @@ class TestValidation:
         crippled = replace(cfg, v0=cfg.v0 / 2.0)
         report = validate_foster(params, crippled, rng=np.random.default_rng(205))
         assert not report.passed
-        assert "v0_phantom_push" in report.failures()
+        assert "v0_phantom_push" in [c.name for c in report.checks if not c.passed]
 
     def test_quiet_hazard_holds_at_x1(self, ref_config):
         # survival of the primary clock over the whole truncation window is
         # at least 1/2 at the constructed x1 (hazard integral <= ln 2)
         params, cfg = ref_config
         report = validate_foster(params, cfg, rng=np.random.default_rng(206))
-        assert report["x1_quiet_hazard"].margin >= 0.0
+        assert [c.margin >= 0.0 for c in report.checks if c.name == "x1_quiet_hazard"] == [True]
 
     def test_report_access(self, ref_config):
         params, cfg = ref_config
-        report = validate_foster(params, cfg, rng=np.random.default_rng(207), n=20_000)
+        report = validate_foster(params, cfg, rng=np.random.default_rng(207))
         assert report.passed is True
         checks = asdict(report)["checks"]
         assert [c["name"] for c in checks] == [c.name for c in report.checks]
         assert set(checks[0]) == {"name", "margin", "passed", "method", "se", "note"}
-        with pytest.raises(KeyError):
-            report["nonexistent"]
 
 
 class TestDrift:
@@ -150,7 +148,7 @@ class TestReturnTimes:
         rt = return_times(params, cfg, State(cfg.x0 + 10.0, 1.0), 100, np.random.default_rng(212))
         assert rt.exhausted == 0
         assert rt.taus.size == 100
-        assert rt.mean >= 1.0
+        assert np.mean(rt.taus) >= 1.0
 
     def test_start_inside_v_minimum_one_step(self, ref_config):
         params, cfg = ref_config
@@ -168,7 +166,7 @@ class TestReturnTimes:
         rt_far = return_times(params, cfg, far, 300, np.random.default_rng(215))
         l_near = cfg.lyapunov_x(near.x) + cfg.r2 * near.y
         l_far = cfg.lyapunov_x(far.x) + cfg.r2 * far.y
-        assert rt_far.mean / rt_near.mean <= 2.0 * (l_far + 1.0) / (l_near + 1.0)
+        assert np.mean(rt_far.taus) / np.mean(rt_near.taus) <= 2.0 * (l_far + 1.0) / (l_near + 1.0)
 
     def test_requires_subcritical(self, ref_config):
         _, cfg = ref_config

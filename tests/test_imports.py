@@ -281,3 +281,69 @@ def test_unread_export_guard_sees_each_kind(tmp_path):
     (pkg / "chain.py").write_text("from . import model\n\n\ndef e():\n    return model.c()\n")
     assert unread_exports(pkg) == ["model.a", "model.b", "model.d"]
     assert unread_exports(pkg, (("b", "kept"),)) == ["model.a", "model.d"]
+
+
+# defaulted parameters that nothing in the package sets, each kept on purpose
+UNSET_BY_DESIGN = (
+    ("simulate", "truncated", "the documented truncated embedding; step feeds it to the same kernel"),
+    ("simulate_thinning", "window", "the oracle's fixed-window mode, which the thinning tests pin"),
+)
+
+
+def unset_parameters(package: Path, allowed: tuple = ()) -> list[str]:
+    """Each defaulted parameter of a module-level function named in a
+    module's `__all__` that no call in the package passes, by keyword or by
+    enough positional arguments, as "module.function(parameter)".  A call
+    may name the function bare or as an attribute (`module.function`); a
+    (function, parameter) pair in `allowed` is no finding."""
+    defaulted = []
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                for name in (e.value for e in node.value.elts if e.value in functions):
+                    args = functions[name].args
+                    positional = args.posonlyargs + args.args
+                    first = len(positional) - len(args.defaults)
+                    defaulted += [(path.stem, name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+                    kwonly = zip(args.kwonlyargs, args.kw_defaults)
+                    defaulted += [(path.stem, name, a.arg, None) for a, d in kwonly if d is not None]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, index) -> bool:
+        by_position = index is not None and len(call.args) > index
+        return by_position or any(kw.arg == param for kw in call.keywords)
+
+    skip = {(name, param) for name, param, _ in allowed}
+    return [
+        f"{module}.{name}({param})"
+        for module, name, param, index in defaulted
+        if (name, param) not in skip and not any(passes(c, param, index) for c in calls.get(name, ()))
+    ]
+
+
+def test_every_library_setting_has_a_caller():
+    assert unset_parameters(PACKAGE, UNSET_BY_DESIGN) == []
+
+
+def test_unset_parameter_guard_sees_each_kind(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    (pkg / "model.py").write_text(
+        "__all__ = ['f', 'g', 'h']\n\n\ndef f(a, b=1, c=2, d=3):\n    pass\n\n\n"
+        "def g(a, *, e=4, r):\n    pass\n\n\ndef h(w=5):\n    pass\n"
+    )
+    # b by keyword, c by position through an attribute call, e keyword-only
+    (pkg / "chain.py").write_text(
+        "from . import model\nfrom .model import f, g\n\n\n"
+        "def k():\n    f(0, b=1)\n    model.f(0, 1, 2)\n    g(0, e=4, r=1)\n"
+    )
+    assert unset_parameters(pkg) == ["model.f(d)", "model.h(w)"]
+    assert unset_parameters(pkg, (("h", "w", "kept"),)) == ["model.f(d)"]
+    (pkg / "chain.py").write_text("from .model import f, g\n\n\ndef k():\n    f(0, 1, 2, 3)\n    g(0, r=1)\n")
+    assert unset_parameters(pkg) == ["model.g(e)", "model.h(w)"]

@@ -11,6 +11,7 @@ from quakesim import (
     ExponentialZ,
     ModelParams,
     State,
+    StopRule,
     ThresholdLinearPhi,
     UniformZ,
     cumulative_hazard_numeric,
@@ -279,6 +280,28 @@ class TestParams:
             ModelParams(1.0, 0.5, 0.0, phi, z)
         # k = 0 is allowed: aftershock-free degenerate case
         ModelParams(1.0, 0.0, 1.0, phi, z)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModelParams(math.inf, 0.5, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0)),
+            lambda: ModelParams(1.0, math.inf, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0)),
+            lambda: ModelParams(1.0, 0.5, math.inf, ExponentialPhi(1.0), ExponentialZ(2.0)),
+            lambda: ModelParams(1.0, 0.5, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0), intensity_cap=math.inf),
+            lambda: ExponentialPhi(math.inf),
+            lambda: ThresholdLinearPhi(0.0, math.inf),
+            lambda: ExponentialZ(math.inf),
+            lambda: UniformZ(0.0, math.inf),
+            lambda: DeterministicZ(math.inf),
+            lambda: StopRule(horizon=math.inf),
+            lambda: StopRule(max_events=2.5),
+            lambda: StopRule(max_events=True),
+        ],
+        ids=["c", "k", "alpha", "cap", "exp-scale", "slope", "exp-mean", "uniform-high", "value", "horizon", "max-2.5", "max-bool"],
+    )
+    def test_non_finite_and_non_integer_settings_are_refused(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_state_validation(self):
         with pytest.raises(ValueError):

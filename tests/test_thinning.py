@@ -126,7 +126,7 @@ class TestMechanics:
         assert log.terminated_reason == "saturation"
 
     def test_requires_rng(self, ref_params):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             simulate_thinning(ref_params, State(0.0, 0.0), 10.0)
 
     def test_explicit_window(self, ref_params):

@@ -297,6 +297,8 @@ def dominance_test(
     """
     if family not in _DOMINANCE_FAMILIES:
         raise ValueError(f"family must be one of {_DOMINANCE_FAMILIES}, got {family!r}")
+    if not (math.isfinite(param_low) and math.isfinite(param_high)):
+        raise ValueError(f"need finite parameters, got [{param_low}, {param_high}]")
     if not param_low < param_high:
         raise ValueError("need param_low < param_high")
     if n < 1:
@@ -338,8 +340,8 @@ def lemma_l2_check(
     contributes its full weight y.  The exact value approaches alpha as y
     grows, which is the limit the drift construction leans on.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n < 2:
         raise ValueError("n must be >= 2 (the standard error needs two draws)")
     rows = []

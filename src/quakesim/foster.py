@@ -30,13 +30,15 @@ corner.  Two identities remove Monte Carlo noise where it would hurt most:
     y*E[1 - exp(-alpha*T2(y))]          = alpha*(1 - exp(-y/alpha))
     y*E[1 - exp(-alpha*min(v0, T2(y)))] = alpha*(1 - exp(-(y/alpha)*(1 - exp(-alpha*v0))))
 
-Expectations without a closed form are estimated with common-random-number
-Monte Carlo and solved by bisection, then padded with a safety margin so an
-independent re-validation passes with room to spare.  The phantom-push
-inequality makes v0 grow like exp(y0/alpha); for heavy weights this is
-astronomically large, so all arithmetic touching exp(c*v0) happens in log
-space, and the construction refuses configurations whose constants cannot
-be represented in float64 at all.
+The wait expectations that fix x0 and y0 are deterministic integrals of
+the closed-form survivals (`model.expected_wait`), solved by bisection; the
+x1 corner gain is a Monte Carlo mean over one set of common random numbers.
+Each choice is padded with a safety margin so that `validate_foster`, which
+re-estimates every expectation by independent Monte Carlo, passes with room
+to spare.  The phantom-push inequality makes v0 grow like exp(y0/alpha);
+for heavy weights this is astronomically large, so all arithmetic touching
+exp(c*v0) happens in log space, and the construction refuses configurations
+whose constants cannot be represented in float64 at all.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .model import (
     ModelParams,
     Regime,
     State,
+    expected_wait,
     primary_times_from_exponentials,
     regime,
     sample_primary_times,
@@ -74,9 +77,9 @@ __all__ = [
     "return_times",
 ]
 
-_MC_N = 100_000  # Monte Carlo draws per construction mean; validation takes twice as many
+_MC_N = 100_000  # Monte Carlo draws of the corner-gain mean; validation takes twice as many
 _RETURN_BUDGET = 1_000_000  # steps per replication in return_times
-_MARGIN = 1.2  # multiplicative safety on Monte Carlo-backed choices
+_MARGIN = 1.2  # multiplicative safety on constructed constants; gives the Monte Carlo re-check room
 # largest admissible log(v0); keeps c*v0, |x1| and r*|x| finite in float64
 _LN_V0_HEADROOM = 706.0
 
@@ -113,8 +116,8 @@ class ConstraintReport:
 def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> float:
     """Order constraints on the weights; returns delta."""
     for name, v in (("r1", r1), ("r2", r2), ("r3", r3)):
-        if not v > 0:
-            raise WeightConstraintError(f"{name} must be > 0, got {v}")
+        if not 0 < v < math.inf:
+            raise WeightConstraintError(f"{name} must be finite and > 0, got {v}")
     ez = params.z.expectation()
     delta = 0.5 * (params.alpha - params.k)
     if delta <= 0:
@@ -166,7 +169,9 @@ def foster_params(
 ) -> FosterConfig:
     """Construct a validated drift configuration for the given weights.
 
-    The Monte Carlo means take one common set of _MC_N draws from `rng`.
+    x0 and y0 bisect on the mean waits E[T1(x)] and E[min(T1(0), T2(y))],
+    computed by quadrature; only the x1 corner-gain check draws from `rng`,
+    one common set of _MC_N draws for every probe of x1.
     Raises WeightConstraintError when the weight triple violates an order
     constraint (the message names it) and FosterInfeasibleError when the
     required constants cannot be represented in float64.
@@ -176,26 +181,19 @@ def foster_params(
     ez = params.z.expectation()
     gamma = min(r2 * delta - r3 * ez, r1 * ez - r2 * k) / 3.0
 
-    # common random numbers: one draw set reused across all bisection
-    # probes keeps every probed expectation monotone in the parameter
-    e_draws = rng.standard_exponential(_MC_N)
-    u_draws = rng.random(_MC_N)
-
     # x0: primary wait and overshoot budgets, each at most gamma
     def x0_excess(x: float) -> float:
-        wait = r1 * c * float(np.mean(primary_times_from_exponentials(params.phi, x, c, e_draws)))
+        wait = r1 * c * expected_wait(params.phi, x, c, 0.0, alpha)
         overshoot = (r1 + r3) * params.z.tail_mean_above(x)
         return max(wait, overshoot) - gamma
 
     x0 = _MARGIN * max(_solve_decreasing(x0_excess, 0.0, 1.0, "x0"), 1e-6)
 
-    # y0: exact decay-gain bound plus the Monte Carlo wait bound
+    # y0: exact decay-gain bound plus the wait bound
     y_gain_bound = alpha * math.log(3.0 * alpha / delta)
-    t1_zero = primary_times_from_exponentials(params.phi, 0.0, c, e_draws)
 
     def y0_excess(y: float) -> float:
-        t = np.minimum(t1_zero, secondary_times_from_uniforms(y, alpha, u_draws))
-        return r1 * c * float(np.mean(t)) - gamma
+        return r1 * c * expected_wait(params.phi, 0.0, c, y, alpha) - gamma
 
     y0_raw = _solve_decreasing(y0_excess, y_gain_bound, max(y_gain_bound, 1.0), "y0")
 
@@ -229,9 +227,13 @@ def foster_params(
 
     target = k + delta
 
+    # one common set of _MC_N draws serves every probe of x1; T2(y0) does
+    # not depend on x1 and is inverted once
+    e_draws = rng.standard_exponential(_MC_N)
+    t2 = secondary_times_from_uniforms(y0, alpha, rng.random(_MC_N))
+
     def corner_gain(x: float) -> float:
         t1 = primary_times_from_exponentials(params.phi, x, c, e_draws)
-        t2 = secondary_times_from_uniforms(y0, alpha, u_draws)
         t = np.minimum(np.minimum(t1, t2), v0)
         return y0 * float(np.mean(-np.expm1(-alpha * t)))
 

@@ -47,6 +47,8 @@ Each clock is sampled exactly by inverting its cumulative hazard against a
 unit exponential or a uniform (no discretisation, no rejection).  The
 scalar inversions serve the event loop; the ``*_times`` batch versions draw
 numpy arrays for Monte Carlo work through the same ``*_from_*`` transforms.
+`expected_wait` integrates the product of the two survivals, E[min(T1, T2)],
+by deterministic quadrature.
 
 `ModelParams`, `State` and `FosterConfig`
 (the constants of the drift construction in `foster`) are the package's
@@ -89,6 +91,7 @@ __all__ = [
     "secondary_times_from_uniforms",
     "primary_survival",
     "secondary_survival",
+    "expected_wait",
 ]
 
 # exp() overflows float64 just above this exponent
@@ -97,6 +100,36 @@ _INF = math.inf
 _CRITICAL_EPS = 1e-12
 _QUADRATURE_TOL = 1e-12  # relative tolerance of cumulative_hazard_numeric
 _TINY = 5e-324  # smallest positive subnormal; floor for open-interval draws
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]: Newton's method
+    on the Legendre three-term recurrence from Tricomi's first guesses.
+    Scalar `math`, like the level tables below: an array operation or a
+    LAPACK call at import would add resident pages to every command."""
+    nodes, weights = [], []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            x -= p1 / dp
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return np.array(nodes), np.array(weights)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
+# Panel edges of `expected_wait`: the times at which a clock's cumulative
+# hazard reaches one of these levels, doubling up to 42 (e^-42 < 1e-18,
+# where the integral stops).  Below the first level the survival is 1 to
+# within 1e-16.
+_WAIT_LEVELS = np.array([math.ldexp(42.0, -j) for j in range(59, -1, -1)])
+# past half its total hazard y/alpha, the secondary clock's remaining hazard
+# halves every log(2)/alpha; sixty halvings leave 2^-60 of it
+_WAIT_HALVINGS = np.array([j * math.log(2.0) for j in range(1, 61)])
 
 
 @dataclass(frozen=True)
@@ -589,3 +622,35 @@ def secondary_survival(y: float, alpha: float, t) -> float | np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.exp(-(y / alpha) * (1.0 - np.exp(-alpha * t)))
     return float(out) if out.ndim == 0 else out
+
+
+def expected_wait(phi: PhiSpec, x: float, c: float, y: float, alpha: float) -> float:
+    """E[min(T1(x), T2(y))], the mean wait from the state (x, y), as the
+    integral of P(T1 > t)*P(T2 > t) over t >= 0.  With y = 0 the secondary
+    clock never fires and this is E[T1(x)].
+
+    Composite 24-point Gauss-Legendre quadrature.  The panels are geometric
+    in hazard rather than in time: their edges are the closed-form waits at
+    which either clock's cumulative hazard doubles (or the secondary clock's
+    remaining hazard halves), so every panel sits at the integrand's own
+    scale, however far away the primary clock's bulk lies or however close
+    to 0 the secondary clock's.  The integral stops where the primary
+    hazard reaches 42 and the survival product is below 1e-18.
+    """
+    if not (-_INF < x < _INF and 0.0 <= y < _INF):
+        raise ValueError(f"need finite x and finite y >= 0, got ({x}, {y})")
+    t1 = phi.invert_many(x, c, _WAIT_LEVELS)
+    edges = [np.zeros(1), t1]
+    if y > 0.0:
+        # the secondary hazard (y/alpha)*(1 - e^{-alpha*t}) at the same
+        # levels while below half its total, then at each halving of the rest
+        g = _WAIT_LEVELS * (alpha / y)
+        t2 = np.concatenate((-np.log1p(-g[g < 0.5]), _WAIT_HALVINGS)) / alpha
+        edges.append(t2[t2 < t1[-1]])
+    e = np.unique(np.concatenate(edges))
+    half = 0.5 * (e[1:] - e[:-1])
+    t = (0.5 * (e[1:] + e[:-1]))[:, None] + half[:, None] * _GL_NODES
+    h = phi.hazard(x, c, t)
+    if y > 0.0:
+        h = h + (y / alpha) * -np.expm1(-alpha * t)
+    return float(half @ (np.exp(-h) @ _GL_WEIGHTS))

@@ -210,6 +210,16 @@ class TestDominanceOp:
         with pytest.raises(ValueError, match="y must be finite and >= 0"):
             dominance_test(ref_params, "secondary", -1.0, 5.0, 1000, np.random.default_rng(93))
 
+    @pytest.mark.parametrize("low,high", [(-math.inf, 0.0), (0.0, math.inf)])
+    def test_refuses_non_finite_bounds(self, ref_params, low, high):
+        # an infinite bound gives all-zero or all-infinite waits on one
+        # side: violation 0 on no evidence
+        rng = np.random.default_rng(94)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="need finite parameters"):
+            dominance_test(ref_params, "primary", low, high, 1000, rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("n", [0, -2])
     def test_needs_a_draw(self, ref_params, n):
         rng = np.random.default_rng(94)
@@ -252,6 +262,12 @@ class TestLemmaTable:
         # one draw has no standard error (np.std with ddof=1 is NaN)
         with pytest.raises(ValueError, match="n must be >= 2"):
             lemma_l2_check(1.0, [1.0], n, np.random.default_rng(98))
+
+    @pytest.mark.parametrize("alpha", [math.inf, 0.0, math.nan])
+    def test_refuses_alpha_outside_the_positive_reals(self, alpha):
+        # at alpha = inf every wait is infinite and the row read mc=1, se=0
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            lemma_l2_check(alpha, [1.0], 100, np.random.default_rng(98))
 
     def test_alpha_scaling(self):
         alpha = 2.5

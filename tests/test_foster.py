@@ -62,6 +62,34 @@ class TestConstruction:
         with pytest.raises(WeightConstraintError, match="weights_x_gain"):
             foster_params(params, 1.0, 9.0, 0.001, np.random.default_rng(201))
 
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["r1", "r2", "r3"])
+    def test_non_finite_weight_is_named(self, ref_config, position):
+        params, _ = ref_config
+        weights = list(REF_WEIGHTS)
+        weights[position] = math.inf
+        name = f"r{position + 1}"
+        with pytest.raises(WeightConstraintError, match=f"{name} must be finite and > 0, got inf"):
+            foster_params(params, *weights, np.random.default_rng(201))
+
+    def test_inversion_budget(self, ref_config, monkeypatch):
+        # x0 and y0 come from quadrature; only the x1 corner-gain check
+        # inverts clock draws, one batch of each clock per corner probe.
+        # The reference corner passes at its first probe.
+        import quakesim.foster
+
+        calls = {"primary_times_from_exponentials": 0, "secondary_times_from_uniforms": 0}
+        for name in calls:
+            original = getattr(quakesim.foster, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(quakesim.foster, name, counted)
+        params, cfg = ref_config
+        assert foster_params(params, *REF_WEIGHTS, rng=np.random.default_rng(200)) == cfg
+        assert calls == {"primary_times_from_exponentials": 1, "secondary_times_from_uniforms": 1}
+
     def test_supercritical_rejected(self):
         p = ModelParams(1.0, 2.0, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
         with pytest.raises(WeightConstraintError, match="subcritical"):

@@ -20,6 +20,7 @@ from quakesim import (
     step,
 )
 from quakesim.model import (
+    expected_wait,
     primary_survival,
     primary_time_from_exponential,
     primary_times_from_exponentials,
@@ -213,6 +214,102 @@ class TestSecondaryInversion:
         for alpha in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="alpha must be > 0"):
                 sample_secondary_times(1.0, alpha, rng, 10)
+
+
+def _exp_phi_mean_wait(s, c, x):
+    """E[T1(x)] for phi = exp(s*x): e^a*E1(a)/(s*c) with a = e^{s*x}/(s*c),
+    by its asymptotic series where e^a overflows."""
+    from scipy.special import exp1
+
+    a = math.exp(s * x) / (s * c)
+    if a < 500.0:
+        return math.exp(a) * exp1(a) / (s * c)
+    return sum((-1) ** j * math.factorial(j) / a ** (j + 1) for j in range(6)) / (s * c)
+
+
+def _threshold_mean_wait(theta, m, c, x):
+    """E[T1(x)] for phi = m*max(0, x - theta): the quiet wait to the
+    threshold plus a Gaussian tail integral."""
+    from scipy.special import erfcx
+
+    a = x - theta
+    tail = math.sqrt(math.pi / (2.0 * m * c))
+    if a <= 0.0:
+        return -a / c + tail
+    return tail * erfcx(a * math.sqrt(m / (2.0 * c)))
+
+
+class TestExpectedWait:
+    """E[min(T1(x), T2(y))] by quadrature against independent oracles."""
+
+    @pytest.mark.parametrize("s,c", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
+    @pytest.mark.parametrize("x", [-5.0, 0.0, 3.0, 17.0])
+    def test_exponential_phi_closed_form(self, s, c, x):
+        got = expected_wait(ExponentialPhi(s), x, c, 0.0, 1.0)
+        assert got == pytest.approx(_exp_phi_mean_wait(s, c, x), rel=1e-8)
+
+    @pytest.mark.parametrize("theta,m,c", [(0.0, 1.0, 1.0), (1.0, 0.3, 2.0), (-2.0, 5.0, 0.5)])
+    @pytest.mark.parametrize("x", [-5.0, 0.0, 3.0, 17.0])
+    def test_threshold_linear_closed_form(self, theta, m, c, x):
+        got = expected_wait(ThresholdLinearPhi(theta, m), x, c, 0.0, 1.0)
+        assert got == pytest.approx(_threshold_mean_wait(theta, m, c, x), rel=1e-8)
+
+    def test_quiet_wait_plus_half_gaussian(self):
+        got = expected_wait(ThresholdLinearPhi(0.0, 1.0), -5.0, 1.0, 0.0, 1.0)
+        assert got == pytest.approx(5.0 + math.sqrt(math.pi / 2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("phi", [ExponentialPhi(1.0), ThresholdLinearPhi(0.0, 1.0)], ids=["exp", "threshold"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    @pytest.mark.parametrize("y", [1.0, 50.0, 698.5])
+    @pytest.mark.parametrize("x", [0.0, -5.0])
+    def test_survival_product_against_adaptive_quadrature(self, phi, alpha, y, x):
+        # the secondary clock's mass lies within 1/(y + alpha) of 0; without
+        # that split an adaptive rule misses it.  At x = -5 the threshold
+        # clock is quiet until t = 5, so its own panels cannot see that mass.
+        from scipy import integrate
+
+        def f(t):
+            return primary_survival(phi, x, 1.0, t) * secondary_survival(y, alpha, t)
+
+        scale = 1.0 / (y + alpha)
+        head = integrate.quad(f, 0.0, scale, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        tail = integrate.quad(f, scale, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert expected_wait(phi, x, 1.0, y, alpha) == pytest.approx(head + tail, rel=1e-8)
+
+    @pytest.mark.parametrize("y,alpha", [(1.0, 1.0), (1.0, 3.0), (5.0, 2.0)])
+    def test_secondary_clock_settles_within_a_long_quiet_wait(self, y, alpha):
+        # the threshold clock is quiet until t = 50, many decay times 1/alpha
+        # after the secondary hazard has all but reached its total y/alpha
+        from scipy import integrate
+
+        phi = ThresholdLinearPhi(0.0, 1.0)
+
+        def f(t):
+            return primary_survival(phi, -50.0, 1.0, t) * secondary_survival(y, alpha, t)
+
+        quiet = integrate.quad(f, 0.0, 50.0, points=[1.0 / (y + alpha), 1.0, 10.0], epsabs=0.0, epsrel=1e-12)[0]
+        tail = integrate.quad(f, 50.0, math.inf, epsabs=0.0, epsrel=1e-12)[0]
+        assert expected_wait(phi, -50.0, 1.0, y, alpha) == pytest.approx(quiet + tail, rel=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        phi=_PHIS,
+        x=st.floats(-5.0, 5.0),
+        c=_C,
+        y=st.one_of(st.just(0.0), st.floats(1e-3, 100.0)),
+        alpha=st.floats(0.2, 5.0),
+    )
+    def test_agrees_with_monte_carlo(self, phi, x, c, y, alpha):
+        rng = np.random.default_rng(18)
+        n = 100_000
+        t = np.minimum(sample_primary_times(phi, x, c, rng, n), sample_secondary_times(y, alpha, rng, n))
+        se = float(np.std(t, ddof=1)) / math.sqrt(n)
+        assert abs(expected_wait(phi, x, c, y, alpha) - float(np.mean(t))) <= 5.0 * se
+
+    def test_validation(self):
+        for x, y in ((math.inf, 0.0), (math.nan, 0.0), (0.0, -1.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="need finite x and finite y >= 0"):
+                expected_wait(ExponentialPhi(1.0), x, 1.0, y, 1.0)
 
 
 class TestInterevent:

@@ -1,118 +1,28 @@
 """quakesim: exact simulation and verification toolkit for a hybrid
-stress-release / self-exciting earthquake point process."""
+stress-release / self-exciting earthquake point process.
 
-from .analysis import (
-    ConvergencePoint,
-    ConvergenceReport,
-    DominanceReport,
-    GrowthReport,
-    InsufficientDataError,
-    LemmaRow,
-    RegimeError,
-    SummaryStats,
-    convergence_diagnostic,
-    dominance_test,
-    estimate_rates,
-    lemma_l2_check,
-    supercritical_probe,
-    theoretical_rate,
-)
-from .chain import (
-    EventLog,
-    StopRule,
-    flow,
-    sample_interevent,
-    simulate,
-    state_at,
-    step,
-    window_integrals,
-)
-from .foster import (
-    ConstraintCheck,
-    ConstraintReport,
-    DriftEstimate,
-    FosterInfeasibleError,
-    ReturnTimeStats,
-    WeightConstraintError,
-    estimate_drift,
-    foster_params,
-    return_times,
-    validate_foster,
-)
-from .model import (
-    DeterministicZ,
-    ExponentialPhi,
-    ExponentialZ,
-    FosterConfig,
-    ModelParams,
-    Regime,
-    State,
-    ThresholdLinearPhi,
-    UniformZ,
-    cumulative_hazard_numeric,
-    cumulative_hazard_primary,
-    intensity_saturated,
-    phi_eval,
-    regime,
-    sample_primary_times,
-    sample_secondary_times,
-)
-from .streams import master, substream
-from .thinning import simulate_thinning
+The public names are declared once, in the `__all__` of each library
+module, and the package re-exports them.  The command-line front end
+(`quakesim.cli`) and the statistics helpers (`quakesim.stats`) are imported
+by name; `import quakesim` does not load `cli`.
+"""
+
+from . import analysis, chain, foster, model, streams, thinning
+from .analysis import *
+from .chain import *
+from .foster import *
+from .model import *
+from .streams import *
+from .thinning import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergencePoint",
-    "ConvergenceReport",
-    "DominanceReport",
-    "GrowthReport",
-    "InsufficientDataError",
-    "LemmaRow",
-    "RegimeError",
-    "SummaryStats",
-    "convergence_diagnostic",
-    "dominance_test",
-    "estimate_rates",
-    "lemma_l2_check",
-    "supercritical_probe",
-    "theoretical_rate",
-    "EventLog",
-    "StopRule",
-    "flow",
-    "sample_interevent",
-    "simulate",
-    "state_at",
-    "step",
-    "window_integrals",
-    "ConstraintCheck",
-    "ConstraintReport",
-    "DriftEstimate",
-    "FosterConfig",
-    "FosterInfeasibleError",
-    "ReturnTimeStats",
-    "WeightConstraintError",
-    "estimate_drift",
-    "foster_params",
-    "return_times",
-    "validate_foster",
-    "DeterministicZ",
-    "ExponentialPhi",
-    "ExponentialZ",
-    "ModelParams",
-    "Regime",
-    "State",
-    "ThresholdLinearPhi",
-    "UniformZ",
-    "cumulative_hazard_numeric",
-    "cumulative_hazard_primary",
-    "intensity_saturated",
-    "phi_eval",
-    "regime",
-    "sample_primary_times",
-    "sample_secondary_times",
-    "master",
-    "substream",
-    "simulate_thinning",
+    *analysis.__all__,
+    *chain.__all__,
+    *foster.__all__,
+    *model.__all__,
+    *streams.__all__,
+    *thinning.__all__,
     "__version__",
 ]

@@ -368,9 +368,15 @@ def _run_replicas(cfg: RunConfig) -> list[EventLog]:
     return [simulate(cfg.model, cfg.initial, cfg.stop, substream(cfg.seed, i)) for i in range(cfg.replications)]
 
 
-def _early_stop(logs: list[EventLog]) -> Optional[str]:
-    """The first replica's reason for stopping early, if any did."""
-    return next((lg.terminated_reason for lg in logs if lg.terminated_reason in EARLY_STOPS), None)
+def _exit_code(logs: list[EventLog]) -> int:
+    """The exit code of a simulating command: EXIT_EARLY_STOP, with one
+    warning line naming the first early-stopped replica's cause, if any
+    replica stopped early, else EXIT_OK."""
+    reason = next((lg.terminated_reason for lg in logs if lg.terminated_reason in EARLY_STOPS), None)
+    if reason is None:
+        return EXIT_OK
+    print(f"warning: run terminated by {EARLY_STOPS[reason]}", file=sys.stderr)
+    return EXIT_EARLY_STOP
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -389,11 +395,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for lg in logs
         ]
         _emit(out_summary, {"config": cfg.to_json_dict(), "replications": cfg.replications, "replicas": replicas})
-    reason = _early_stop(logs)
-    if reason:
-        print(f"warning: run terminated by {EARLY_STOPS[reason]}", file=sys.stderr)
-        return EXIT_EARLY_STOP
-    return EXIT_OK
+    return _exit_code(logs)
 
 
 def _pooled_rate_summary(cfg: RunConfig, logs: list[EventLog]) -> dict:
@@ -421,7 +423,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(args.out, body)
-    return EXIT_EARLY_STOP if _early_stop(logs) else EXIT_OK
+    return _exit_code(logs)
 
 
 def _numbers(flag: str, text: str, names: Optional[str] = None) -> list[float]:

@@ -94,8 +94,6 @@ __all__ = [
     "expected_wait",
 ]
 
-# exp() overflows float64 just above this exponent
-_EXP_OVERFLOW = 709.0
 _INF = math.inf
 _CRITICAL_EPS = 1e-12
 _QUADRATURE_TOL = 1e-12  # relative tolerance of cumulative_hazard_numeric
@@ -146,13 +144,12 @@ class ExponentialPhi:
         scalar = type(x) is float  # the event loop's case: `math` only, no array
         v = self.scale * (x if scalar else np.asarray(x, dtype=float))
         if scalar or v.ndim == 0:
-            v = float(v)
-            return math.inf if v > _EXP_OVERFLOW else math.exp(v)
-        out = np.empty_like(v)
-        big = v > _EXP_OVERFLOW
-        out[big] = np.inf
-        out[~big] = np.exp(v[~big])
-        return out
+            try:
+                return math.exp(v)
+            except OverflowError:  # past the float64 range, near 709.78
+                return math.inf
+        with np.errstate(over="ignore"):
+            return np.exp(v)
 
     def hazard(self, x: np.ndarray, c: float, t: np.ndarray) -> np.ndarray:
         s = self.scale

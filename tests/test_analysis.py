@@ -290,6 +290,15 @@ class TestSupercriticalProbe:
         assert rep.explosive
         assert not GrowthReport(Regime.SUPERCRITICAL, (2.0, 1.0, 1.0, 1.0), 5, 1.0, "horizon_reached").explosive
 
+    def test_saturated_start_is_explosive(self):
+        # phi(40) = e^40 is above the default cap: the run stops at t = 0
+        p = ModelParams(1.0, 2.0, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
+        rep = supercritical_probe(p, 50.0, 1000, np.random.default_rng(98), State(40.0, 0.0))
+        assert rep.quartile_rates == (0.0, 0.0, 0.0, 0.0)
+        assert rep.time_covered == 0.0 and rep.event_count == 0
+        assert rep.terminated_reason == "saturation"
+        assert rep.explosive
+
     def test_near_critical_reports_only(self):
         p = ModelParams(1.0, 0.999, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
         rep = supercritical_probe(p, 200.0, 50_000, np.random.default_rng(99))

@@ -148,6 +148,12 @@ class TestSimulate:
         rate = log.event_count / log.horizon
         assert abs(rate - 0.5) < 0.02
 
+    def test_drop_beyond_float_range_is_refused(self, ref_params, origin):
+        # a drop of ~1.5e308 sends the stress to -inf, which no state holds
+        params = ModelParams(ref_params.c, ref_params.k, ref_params.alpha, ref_params.phi, ExponentialZ(1.5e308))
+        with pytest.raises(ValueError, match="need finite x"):
+            simulate(params, origin, StopRule(horizon=400.0), master(42))
+
     def test_stop_rule_validation(self):
         with pytest.raises(ValueError):
             StopRule()
@@ -272,6 +278,12 @@ class TestIntegrals:
         log = _manual_log(ref_params, State(0.0, 0.0), [row], 3.0)
         tail = 2.0 * (1.0 - math.exp(-2.0)) / 1.0
         assert window_integrals(log, 0.0, log.horizon)[1] == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 11.0), (-1.0, 5.0), (6.0, 5.0)])
+    def test_window_outside_the_log_is_refused(self, ref_params, origin, a, b):
+        log = simulate(ref_params, origin, StopRule(horizon=10.0), np.random.default_rng(60))
+        with pytest.raises(ValueError, match="outside"):
+            window_integrals(log, a, b)
 
     def test_window_additivity(self, ref_params, origin):
         log = simulate(ref_params, origin, StopRule(horizon=400.0), np.random.default_rng(61))

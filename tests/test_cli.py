@@ -144,6 +144,20 @@ class TestParseConfig:
             "$.stop: set max_events, horizon, or both",
         ]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("k", -1, "$.model.k: must be >= 0"),
+            ("c", "1", "$.model.c: expected number, got str"),
+        ],
+    )
+    def test_model_number_refusals(self, key, value, message):
+        bad = json.loads(json.dumps(REF_CONFIG))
+        bad["model"][key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(bad))
+        assert exc.value.errors == [message]
+
     def test_integer_beyond_float_range(self):
         text = json.dumps(REF_CONFIG).replace('"c": 1', '"c": 1' + "0" * 400)
         with pytest.raises(ConfigError) as exc:
@@ -270,6 +284,14 @@ class TestSimulateCommand:
         code = run_command(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
 
+    def test_drop_beyond_float_range_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, z={"kind": "exponential", "mean": 1.5e308})
+        out = tmp_path / "events.csv"
+        assert run_command(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: need finite x") and err.count("\n") == 1
+
     def test_summary_written(self, tmp_path):
         cfg = write_config(tmp_path)
         out, summ = tmp_path / "e.csv", tmp_path / "s.json"
@@ -288,6 +310,17 @@ class TestRateCommand:
         body = json.loads(out.read_text())
         assert body["rate_theory"] == 0.5
         assert abs(body["per_replica"][0]["rate_hat"] - 0.5) < 0.05
+
+
+    def test_empty_log_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["stop"] = {"max_events": 0}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "rate.json"
+        assert run_command(["rate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: insufficient data: empty log\n")
 
 
 class TestOtherCommands:

@@ -1,7 +1,8 @@
 """The package's module graph has no import cycles, no module takes another
 module's `_`-prefixed names, each phi family and stress-drop law is one
-class that carries its own formulas, and only the command-line front end
-turns results into documents.
+class that carries its own formulas, only the command-line front end
+turns results into documents, and the public names are declared once, in
+the library modules' `__all__` lists.
 
 Imports are read from the source with ast, so imports inside functions
 count as well as module-level ones: a function-level import only hides a
@@ -9,7 +10,14 @@ cycle from import time, not from the design.
 """
 
 import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import quakesim
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "quakesim"
 
@@ -347,3 +355,67 @@ def test_unset_parameter_guard_sees_each_kind(tmp_path):
     assert unset_parameters(pkg, (("h", "w", "kept"),)) == ["model.f(d)"]
     (pkg / "chain.py").write_text("from .model import f, g\n\n\ndef k():\n    f(0, 1, 2, 3)\n    g(0, r=1)\n")
     assert unset_parameters(pkg) == ["model.g(e)", "model.h(w)"]
+
+
+# the modules `quakesim` re-exports; cli and stats are imported by name
+LIBRARY = ("analysis", "chain", "foster", "model", "streams", "thinning")
+NOT_EXPORTED = ("cli", "stats")
+
+
+def declared_twice(package: Path) -> list[str]:
+    """Each name in two library modules' `__all__`, and each exported name
+    that `__init__` spells out itself, as "module: name"."""
+    found, home = [], {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                for name in (e.value for e in node.value.elts):
+                    if name in home:
+                        found.append(f"{path.stem}: {name} (also in {home[name]})")
+                    home.setdefault(name, path.stem)
+    for node in ast.walk(ast.parse((package / "__init__.py").read_text())):
+        if isinstance(node, ast.alias) and node.name in home:
+            found.append(f"__init__: {node.name}")
+        elif isinstance(node, ast.Constant) and node.value in home:
+            found.append(f"__init__: {node.value}")
+    return found
+
+
+def test_public_names_are_declared_once():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == {"__init__", *LIBRARY, *NOT_EXPORTED}
+    assert declared_twice(PACKAGE) == []
+
+
+def test_declaration_guard_sees_each_kind(tmp_path):
+    pkg = tmp_path / "quakesim"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .chain import *\nfrom .model import f\n\n__all__ = [*chain.__all__, 'g']\n")
+    (pkg / "chain.py").write_text("__all__ = ['f', 'g']\n")
+    (pkg / "model.py").write_text("__all__ = ['f']\n")
+    assert declared_twice(pkg) == ["model: f (also in chain)", "__init__: f", "__init__: g"]
+
+
+def test_package_exports_each_module_list_once():
+    modules = [importlib.import_module(f"quakesim.{m}") for m in LIBRARY]
+    assert quakesim.__all__ == [name for m in modules for name in m.__all__] + ["__version__"]
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(quakesim, name) is obj
+            # a class or function is exported by the module that defines it
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+
+
+def test_package_import_leaves_the_front_end_unloaded():
+    probe = "import sys, quakesim\nfor m in sorted(sys.modules):\n    print(m)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    names = loaded.stdout.split()
+    # stats loads with analysis and foster, which read it
+    assert [m for m in names if m.startswith("quakesim")] == sorted(
+        ["quakesim", *(f"quakesim.{m}" for m in (*LIBRARY, "stats"))]
+    )
+    assert "argparse" not in names

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,7 +79,7 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
 @settings(max_examples=200, deadline=None)
 @given(
     phi=_PHIS,
-    x=st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, 709.0, 709.5, -1e308, 1e308])),
+    x=st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, 709.0, 709.5, 709.79, -1e308, 1e308])),
 )
 def test_float_phi_eval_matches_zero_d_path(phi, x):
     # a Python float takes the `math` path; a 0-d array takes the numpy
@@ -88,6 +89,14 @@ def test_float_phi_eval_matches_zero_d_path(phi, x):
         a, b = phi_eval(phi, x), phi_eval(phi, np.array(x))
     assert type(a) is float
     assert math.copysign(1.0, a) == math.copysign(1.0, b) and (a == b or (math.isnan(a) and math.isnan(b)))
+
+
+@pytest.mark.parametrize("v, expected", [(709.5, math.exp(709.5)), (709.79, math.inf)])
+def test_exp_phi_overflows_where_float64_does(v, expected):
+    # e^709.5 = 1.35e308 is finite; e^709.79 is past the largest float
+    phi = ExponentialPhi(1.0)
+    values = phi_eval(phi, v), phi_eval(phi, np.array(v)), phi_eval(phi, np.array([v, 0.0]))[0]
+    assert values == (expected, expected, expected)
 
 
 def test_simulate_steps_through_the_sampler_and_model_layers(ref_params, origin, monkeypatch):

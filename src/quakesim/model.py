@@ -39,16 +39,17 @@ written in `chain`):
 * the primary clock, driven by the stress ramp, with survival
   P(T1 > t) = exp(-integral of phi(x + c*v) over [0, t]), always finite;
 * the secondary clock, driven by the decaying aftershock residual, with
-  survival P(T2 > t) = exp(-(y/alpha) * (1 - exp(-alpha*t))).  It is
-  defective: it never fires with probability exp(-y/alpha), represented
-  as ``math.inf``.
+  survival P(T2 > t) = exp(-(y/alpha) * (1 - exp(-alpha*t))), evaluated
+  as exp(-(y/alpha) * -expm1(-alpha*t)).  It is defective: it never fires
+  with probability exp(-y/alpha), represented as ``math.inf``.
 
 Each clock is sampled exactly by inverting its cumulative hazard against a
 unit exponential or a uniform (no discretisation, no rejection).  The
 scalar inversions serve the event loop; the ``*_times`` batch versions draw
 numpy arrays for Monte Carlo work through the same ``*_from_*`` transforms.
-`expected_wait` integrates the product of the two survivals, E[min(T1, T2)],
-by deterministic quadrature.
+`expected_wait` integrates the product of the two public survivals,
+`primary_survival` and `secondary_survival`, to E[min(T1, T2)] by
+deterministic quadrature.
 
 `ModelParams`, `State` and `FosterConfig`
 (the constants of the drift construction in `foster`) are the package's
@@ -82,7 +83,6 @@ __all__ = [
     "phi_eval",
     "intensity_saturated",
     "cumulative_hazard_primary",
-    "cumulative_hazard_numeric",
     "primary_time_from_exponential",
     "secondary_time_from_uniform",
     "sample_primary_times",
@@ -96,7 +96,6 @@ __all__ = [
 
 _INF = math.inf
 _CRITICAL_EPS = 1e-12
-_QUADRATURE_TOL = 1e-12  # relative tolerance of cumulative_hazard_numeric
 _TINY = 5e-324  # smallest positive subnormal; floor for open-interval draws
 
 
@@ -155,21 +154,26 @@ class ExponentialPhi:
         s = self.scale
         # expm1 keeps small-t accuracy; exp(s*x) may round to 0 or inf at
         # extreme stress, which is the right limit unless the other factor
-        # rounds the other way (the non-finite products repaired below)
+        # rounds the other way (the non-finite and zero products repaired
+        # below)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
-            bad = ~np.isfinite(out)
+            zero = (out == 0.0) & (t > 0)
+            bad = ~np.isfinite(out) | zero
             if bad.any():
                 # 0*inf or tiny*inf: a segment from below zero stress whose
                 # ramp overflows expm1; inf*small: a short segment at
-                # overflowing stress.  Add the exponents in log space
-                # instead, which is inf only where the integral overflows.
-                # inf*0: an empty segment (t == 0) at overflowing stress.
-                # Where the exponential alone overflows but the quotient
-                # does not, divide by s*c in log space too.
+                # overflowing stress; 0*finite: a segment from below zero
+                # stress whose ramp climbs back into the float range.  Add
+                # the exponents in log space instead, which is inf only
+                # where the integral overflows and 0 only where it
+                # underflows.  inf*0: an empty segment (t == 0) at
+                # overflowing stress.  Where the exponential alone overflows
+                # or underflows but the quotient does not, divide by s*c in
+                # log space too.
                 log_out = s * (x + c * t) + np.log(-np.expm1(-s * c * t))
                 logs = np.exp(log_out) / (s * c)
-                logs = np.where(np.isinf(logs), np.exp(log_out - math.log(s * c)), logs)
+                logs = np.where(np.isinf(logs) | zero, np.exp(log_out - math.log(s * c)), logs)
                 out = np.where(bad, np.where(t == 0, 0.0, logs), out)
         return out
 
@@ -483,57 +487,6 @@ def cumulative_hazard_primary(phi: PhiSpec, x, c: float, t) -> float | np.ndarra
     return float(out) if out.ndim == 0 else out
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, depth: int, fa, fm, fb, whole):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(f, a, m, tol / 2.0, depth - 1, fa, flm, fm, left) + _adaptive_simpson(
-        f, m, b, tol / 2.0, depth - 1, fm, frm, fb, right
-    )
-
-
-def cumulative_hazard_numeric(phi: PhiSpec, x: float, c: float, t: float) -> float:
-    """Adaptive-Simpson quadrature of the primary hazard integral.
-
-    Reference path only: tests use it as an independent oracle for
-    `cumulative_hazard_primary`; production code always takes the closed
-    form.  The tolerance _QUADRATURE_TOL is relative to a coarse estimate
-    of the integral, so that large-magnitude hazards are handled sensibly.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-
-    def f(v: float) -> float:
-        return phi_eval(phi, x + c * v)
-
-    # coarse pass over 16 panels seeds the error scale and guards against
-    # the integrand being zero at the probe points of a single panel
-    edges = np.linspace(0.0, t, 17)
-    vals = [f(e) for e in edges]
-    coarse = 0.0
-    for i in range(16):
-        coarse += (edges[i + 1] - edges[i]) / 6.0 * (
-            vals[i] + 4.0 * f(0.5 * (edges[i] + edges[i + 1])) + vals[i + 1]
-        )
-    eps = _QUADRATURE_TOL * max(1.0, abs(coarse))
-    total = 0.0
-    for i in range(16):
-        a, b = float(edges[i]), float(edges[i + 1])
-        fa, fb = vals[i], vals[i + 1]
-        fm = f(0.5 * (a + b))
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total += _adaptive_simpson(f, a, b, eps / 16.0, 48, fa, fm, fb, whole)
-    return total
-
-
 # --- the two clocks ---------------------------------------------------------
 
 
@@ -571,6 +524,8 @@ def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
 
 def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent primary-clock draws as an array."""
+    if not -_INF < x < _INF:
+        raise ValueError(f"x must be finite, got {x}")
     return primary_times_from_exponentials(phi, x, c, rng.standard_exponential(n))
 
 
@@ -610,20 +565,23 @@ def primary_survival(phi: PhiSpec, x: float, c: float, t) -> float | np.ndarray:
     """P(T1 > t) for the primary clock, via the closed-form hazard."""
     lam = cumulative_hazard_primary(phi, x, c, t)
     if np.ndim(lam):
-        return np.exp(-np.asarray(lam, dtype=float))
-    return 0.0 if math.isinf(lam) else math.exp(-lam)
+        return np.exp(-lam)
+    return math.exp(-lam)
 
 
 def secondary_survival(y: float, alpha: float, t) -> float | np.ndarray:
-    """P(T2 > t) for the defective secondary clock."""
+    """P(T2 > t) for the defective secondary clock.  Its cumulative hazard
+    (y/alpha)*(1 - exp(-alpha*t)) is written with -expm1, which keeps its
+    relative accuracy where alpha*t is far below 1."""
     t = np.asarray(t, dtype=float)
-    out = np.exp(-(y / alpha) * (1.0 - np.exp(-alpha * t)))
+    out = np.exp(-(y / alpha) * -np.expm1(-alpha * t))
     return float(out) if out.ndim == 0 else out
 
 
 def expected_wait(phi: PhiSpec, x: float, c: float, y: float, alpha: float) -> float:
     """E[min(T1(x), T2(y))], the mean wait from the state (x, y), as the
-    integral of P(T1 > t)*P(T2 > t) over t >= 0.  With y = 0 the secondary
+    integral of P(T1 > t)*P(T2 > t) over t >= 0: the product of
+    `primary_survival` and `secondary_survival`.  With y = 0 the secondary
     clock never fires and this is E[T1(x)].
 
     Composite 24-point Gauss-Legendre quadrature.  The panels are geometric
@@ -647,7 +605,5 @@ def expected_wait(phi: PhiSpec, x: float, c: float, y: float, alpha: float) -> f
     e = np.unique(np.concatenate(edges))
     half = 0.5 * (e[1:] - e[:-1])
     t = (0.5 * (e[1:] + e[:-1]))[:, None] + half[:, None] * _GL_NODES
-    h = phi.hazard(x, c, t)
-    if y > 0.0:
-        h = h + (y / alpha) * -np.expm1(-alpha * t)
-    return float(half @ (np.exp(-h) @ _GL_WEIGHTS))
+    survival = primary_survival(phi, x, c, t) * secondary_survival(y, alpha, t)
+    return float(half @ (survival @ _GL_WEIGHTS))

@@ -12,7 +12,6 @@ from quakesim import (
     State,
     StopRule,
     ThresholdLinearPhi,
-    cumulative_hazard_numeric,
     estimate_rates,
     flow,
     foster_params,
@@ -24,6 +23,8 @@ from quakesim import (
     window_integrals,
 )
 from quakesim.stats import ks_two_sample
+
+from simpson import cumulative_hazard_numeric
 
 
 def small_foster(v0=2.0, x1=-50.0):

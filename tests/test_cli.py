@@ -322,6 +322,18 @@ class TestRateCommand:
         assert not out.exists()
         assert capsys.readouterr() == ("", "error: insufficient data: empty log\n")
 
+    def test_first_step_saturation_is_an_early_stop(self, tmp_path, capsys):
+        # from x = 40 the intensity e^40 is above the 1e12 cap, so the run
+        # stops before its first event: the stop is named, not the empty log
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["initial"] = {"x": 40, "y": 0}
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "rate.json"
+        assert run_command(["rate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "warning: run terminated by intensity saturation\n")
+
 
 class TestOtherCommands:
     def test_regime(self, tmp_path, capsys):
@@ -583,4 +595,5 @@ class TestSelftest:
         assert run_command(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+        assert "PASS  hazard closed form vs expm1(1)\n" in out
         assert "checks passed" in out

@@ -243,8 +243,6 @@ def test_document_guard_sees_each_kind(tmp_path):
 
 # exported functions that nothing in the package calls, each kept on purpose
 UNREAD_BY_DESIGN = (
-    ("primary_survival", "closed-form oracle the sampler tests compare draws with"),
-    ("secondary_survival", "closed-form oracle the sampler tests compare draws with"),
     ("simulate_thinning", "independent thinning oracle the chain tests compare logs with"),
     ("return_times", "library probe of hitting times of V, documented in the README"),
 )

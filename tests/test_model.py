@@ -14,11 +14,12 @@ from quakesim import (
     StopRule,
     ThresholdLinearPhi,
     UniformZ,
-    cumulative_hazard_numeric,
     cumulative_hazard_primary,
     intensity_saturated,
     phi_eval,
 )
+
+from simpson import cumulative_hazard_numeric
 
 
 class TestPhi:
@@ -181,11 +182,16 @@ class TestCumulativeHazard:
     )
     # exp(s*c*t) overflows, but the integral divided by s*c is finite
     @example(s=8.9375, c=8.9375, xt=[(0.0, 8.9375)])
+    # exp(s*x) underflows to 0, but the integral is e^-100
+    @example(s=1.0, c=1.0, xt=[(-800.0, 700.0)])
     def test_finite_values_keep_their_bits(self, s, c, xt):
-        # the plain closed form, where it is finite, is the reference: rate
-        # estimates built on it must not move by a single bit.  Where it is
-        # inf (a product with an overflowed factor), the integral is
+        # the plain closed form, where it is finite and nonzero (or the
+        # segment is empty), is the reference: rate estimates built on it
+        # must not move by a single bit.  Where it is inf (a product with an
+        # overflowed factor) or 0 on a nonempty segment (a product with an
+        # underflowed factor), the integral is
         # exp(s*x + log(expm1(s*c*t)))/(s*c), inf only when that overflows
+        # and 0 only when it underflows
         x, t = (np.array(v) for v in zip(*xt))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             before = np.exp(s * x) * np.expm1(s * c * t) / (s * c)
@@ -194,10 +200,16 @@ class TestCumulativeHazard:
             reference = np.exp(s * x + log_em1 - math.log(s * c))
         after = cumulative_hazard_primary(ExponentialPhi(s), x, c, t)
         assert not np.isnan(after).any()
-        kept = np.isfinite(before)
+        kept = np.isfinite(before) & ((before != 0.0) | (t == 0.0))
         assert after[kept].tobytes() == before[kept].tobytes()
         over = np.isinf(before)
         np.testing.assert_allclose(after[over], reference[over], rtol=1e-9)
+        under = (before == 0.0) & (t > 0.0)
+        tiny = np.finfo(float).tiny
+        normal = under & (reference >= tiny)
+        np.testing.assert_allclose(after[normal], reference[normal], rtol=1e-9)
+        subnormal = under & (reference < tiny)
+        np.testing.assert_allclose(after[subnormal], reference[subnormal], rtol=0.0, atol=1e-9 * tiny)
         scalar = cumulative_hazard_primary(ExponentialPhi(s), float(x[0]), c, float(t[0]))
         assert np.float64(scalar).tobytes() == after[0].tobytes()
 

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from quakesim import (
     ModelParams,
     State,
     ThresholdLinearPhi,
-    cumulative_hazard_numeric,
     cumulative_hazard_primary,
     sample_interevent,
     sample_primary_times,
@@ -29,6 +30,8 @@ from quakesim.model import (
     secondary_times_from_uniforms,
 )
 from quakesim.stats import ks_two_sample
+
+from simpson import cumulative_hazard_numeric
 
 
 def _root_find_primary(phi, x, c, e, lo=0.0, hi=1.0):
@@ -104,6 +107,13 @@ class TestPrimaryInversion:
             scal = np.array([primary_time_from_exponential(phi, x, c, float(e)) for e in es])
             np.testing.assert_allclose(vec, scal, rtol=1e-12)
 
+    def test_validation(self):
+        rng = np.random.default_rng(17)
+        for phi in (ExponentialPhi(1.0), ThresholdLinearPhi(0.0, 1.0)):
+            for x in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    sample_primary_times(phi, x, 1.0, rng, 10)
+
     def test_empirical_survival_curve(self):
         rng = np.random.default_rng(11)
         n = 1_000_000
@@ -177,6 +187,18 @@ class TestSecondaryInversion:
                 p = secondary_survival(y, alpha, float(t))
                 se = math.sqrt(p * (1 - p) / n)
                 assert abs(float(np.mean(draws > t)) - p) <= 3.0 * se + 1e-9
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-14])
+    def test_survival_where_alpha_t_is_tiny(self, t):
+        # 1 - e^{-alpha*t} is near alpha*t: the reference takes it at 50
+        # digits, where the cancellation costs none of the 16 that count
+        y, alpha = 1e14, 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            hazard = Decimal(y) / Decimal(alpha) * (1 - (-Decimal(alpha) * Decimal(t)).exp())
+            exact = float((-hazard).exp())
+        assert secondary_survival(y, alpha, t) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert secondary_survival(y, alpha, np.array([t]))[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_scalar_matches_vector_transform(self):
         us = np.array([1e-12, 0.05, math.exp(-1.0), 0.5, 0.9, 1.0 - 1e-12])

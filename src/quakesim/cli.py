@@ -2,9 +2,11 @@
 
 Subcommands: simulate, rate, foster, drift, converge, dominance, lemma-l2,
 regime, probe-supercritical, selftest.  Configuration is a strict JSON
-document (unknown keys are rejected, errors carry JSON paths); bulk event
-data goes to CSV with the fixed header ``n,t,dt,kind,x,y,z,lambda_pre``,
-everything else to JSON.  Exit codes: 0 success, 1 validation failure,
+document (unknown keys are rejected, errors carry JSON paths) built into the
+library's parameter types, whose defaults and cross-field rules it keeps;
+output paths come from --out and --summary only.  Bulk event data goes to
+CSV with the fixed header ``n,t,dt,kind,x,y,z,lambda_pre``, everything else
+to JSON.  Exit codes: 0 success, 1 validation failure,
 2 a run stopped early (intensity saturation or float time resolution),
 3 selftest assertion failure.
 
@@ -16,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import enum
 import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,7 +78,6 @@ class RunConfig:
     stop: StopRule
     replications: int = 1
     burn_in_fraction: float = 0.1
-    output: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return _CONFIG.encode(self)
@@ -84,11 +86,11 @@ class RunConfig:
 # --- configuration schema -------------------------------------------------
 #
 # One table (`_CONFIG`, below) describes the JSON document: its sections,
-# the variants of phi and Z, and each field's type and bounds.  Parsing
-# reports every problem as "<JSON path>: <message>", in table order, and
-# printing walks the same table back.
+# the variants of phi and Z, and each key's JSON type and bounds.  Which
+# keys may be left out, their defaults and the rules between keys are the
+# built types' own.  Parsing reports every problem as "<JSON path>:
+# <message>", in table order, and printing walks the same table back.
 
-_REQUIRED = object()  # default of a field the document must set
 _BAD = object()  # value of a field that failed validation
 
 
@@ -143,58 +145,38 @@ class _Integer(_Leaf):
         return v
 
 
-class _Path(_Leaf):
-    def parse(self, v: Any, path: str, errors: list[str]) -> Any:
-        if isinstance(v, str):
-            return v
-        errors.append(f"{path}: expected string path")
-        return _BAD
-
-
-@dataclass(frozen=True)
-class _Field:
-    key: str
-    type: Any
-    default: Any = _REQUIRED
-
-
 @dataclass(frozen=True)
 class _Record:
-    """A JSON object built into `build(**fields)`.  `rule`, when given,
-    checks fields against each other once each is valid on its own; it
-    returns (key, message) for a violation, key "" naming the object."""
+    """A JSON object built into the dataclass `build`, one key per field.
+    A key may be left out when its field has a default; the object is
+    built once every key is valid on its own, and a `ValueError` from the
+    constructor (a rule between fields) is reported at the object's path."""
 
-    build: Callable[..., Any]
-    fields: tuple[_Field, ...]
-    rule: Optional[Callable[[dict], Optional[tuple[str, str]]]] = None
+    build: type
+    fields: dict[str, Any]  # key -> JSON type
 
     def parse(self, data: Any, path: str, errors: list[str], extra_keys: tuple[str, ...] = ()) -> Any:
         if not isinstance(data, dict):
             errors.append(f"{path}: expected object, got {type(data).__name__}")
             return _BAD
-        known = {f.key for f in self.fields}.union(extra_keys)
+        known = self.fields.keys() | set(extra_keys)
         errors.extend(f"{path}.{key}: unknown key" for key in data if key not in known)
-        missing = [f for f in self.fields if f.default is _REQUIRED and f.key not in data]
-        errors.extend(f"{path}.{f.key}: missing key" for f in missing)
-        values = {}
-        for f in self.fields:
-            # a missing section is also reported as a non-object
-            if f.key in data or (f in missing and isinstance(f.type, _Record)):
-                values[f.key] = f.type.parse(data.get(f.key), f"{path}.{f.key}", errors)
-            else:
-                values[f.key] = _BAD if f in missing else f.default
-        if any(v is _BAD for v in values.values()):
+        optional = {f.name for f in dataclasses.fields(self.build) if f.default is not dataclasses.MISSING}
+        missing = [key for key in self.fields if key not in data and key not in optional]
+        errors.extend(f"{path}.{key}: missing key" for key in missing)
+        values = {
+            key: kind.parse(data[key], f"{path}.{key}", errors) for key, kind in self.fields.items() if key in data
+        }
+        if missing or any(v is _BAD for v in values.values()):
             return _BAD
-        problem = self.rule(values) if self.rule else None
-        if problem:
-            key, msg = problem
-            errors.append(f"{path}.{key}: {msg}" if key else f"{path}: {msg}")
+        try:
+            return self.build(**values)
+        except ValueError as e:
+            errors.append(f"{path}: {e}")
             return _BAD
-        return self.build(**values)
 
     def encode(self, value: Any) -> dict:
-        get = value.get if isinstance(value, dict) else lambda key: getattr(value, key)
-        return {f.key: f.type.encode(v) for f in self.fields if (v := get(f.key)) is not None}
+        return {key: kind.encode(v) for key, kind in self.fields.items() if (v := getattr(value, key)) is not None}
 
 
 @dataclass(frozen=True)
@@ -217,63 +199,37 @@ class _Variants:
         return {"kind": kind, **case.encode(value)}
 
 
-def _high_above_low(z: dict) -> Optional[tuple[str, str]]:
-    return None if z["high"] > z["low"] else ("high", f"must be > low ({z['low']})")
-
-
-def _needs_a_bound(stop: dict) -> Optional[tuple[str, str]]:
-    if stop["max_events"] is None and stop["horizon"] is None:
-        return "", "set max_events, horizon, or both"
-    return None
-
-
-def _output_paths(**paths: Optional[str]) -> dict:
-    return {key: path for key, path in paths.items() if path is not None}
-
-
 _POSITIVE = _Number(lo=0.0, lo_strict=True)
 _NON_NEGATIVE = _Number(lo=0.0)
 _REAL = _Number()
 
 _PHI = _Variants(
     {
-        "exp": _Record(ExponentialPhi, (_Field("scale", _POSITIVE),)),
-        "threshold_linear": _Record(ThresholdLinearPhi, (_Field("theta", _REAL), _Field("slope", _POSITIVE))),
+        "exp": _Record(ExponentialPhi, {"scale": _POSITIVE}),
+        "threshold_linear": _Record(ThresholdLinearPhi, {"theta": _REAL, "slope": _POSITIVE}),
     }
 )
 _Z = _Variants(
     {
-        "exponential": _Record(ExponentialZ, (_Field("mean", _POSITIVE),)),
-        "uniform": _Record(UniformZ, (_Field("low", _NON_NEGATIVE), _Field("high", _REAL)), _high_above_low),
-        "deterministic": _Record(DeterministicZ, (_Field("value", _POSITIVE),)),
+        "exponential": _Record(ExponentialZ, {"mean": _POSITIVE}),
+        "uniform": _Record(UniformZ, {"low": _NON_NEGATIVE, "high": _REAL}),
+        "deterministic": _Record(DeterministicZ, {"value": _POSITIVE}),
     }
 )
 _MODEL = _Record(
     ModelParams,
-    (
-        _Field("c", _POSITIVE),
-        _Field("k", _NON_NEGATIVE),
-        _Field("alpha", _POSITIVE),
-        _Field("intensity_cap", _POSITIVE, 1e12),
-        _Field("phi", _PHI),
-        _Field("z", _Z),
-    ),
+    {"c": _POSITIVE, "k": _NON_NEGATIVE, "alpha": _POSITIVE, "intensity_cap": _POSITIVE, "phi": _PHI, "z": _Z},
 )
-_STOP = _Record(
-    StopRule, (_Field("max_events", _Integer(0), None), _Field("horizon", _POSITIVE, None)), _needs_a_bound
-)
-_OUTPUT = _Record(_output_paths, (_Field("events", _Path(), None), _Field("summary", _Path(), None)))
 _CONFIG = _Record(
     RunConfig,
-    (
-        _Field("model", _MODEL),
-        _Field("initial", _Record(State, (_Field("x", _REAL), _Field("y", _NON_NEGATIVE)))),
-        _Field("seed", _Integer(0, 2**64 - 1, "must be an unsigned 64-bit integer")),
-        _Field("stop", _STOP),
-        _Field("replications", _Integer(1), 1),
-        _Field("burn_in_fraction", _Number(lo=0.0, below=1.0), 0.1),
-        _Field("output", _OUTPUT, {}),
-    ),
+    {
+        "model": _MODEL,
+        "initial": _Record(State, {"x": _REAL, "y": _NON_NEGATIVE}),
+        "seed": _Integer(0, 2**64 - 1, "must be an unsigned 64-bit integer"),
+        "stop": _Record(StopRule, {"max_events": _Integer(0), "horizon": _POSITIVE}),
+        "replications": _Integer(1),
+        "burn_in_fraction": _Number(lo=0.0, below=1.0),
+    },
 )
 
 
@@ -381,9 +337,8 @@ def _exit_code(logs: list[EventLog]) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     logs = _run_replicas(cfg)
-    _write_events(args.out or cfg.output.get("events"), logs[0])
-    out_summary = args.summary or cfg.output.get("summary")
-    if out_summary:
+    _write_events(args.out, logs[0])
+    if args.summary:
         replicas = [
             {
                 "n_events": lg.event_count,
@@ -393,7 +348,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for lg in logs
         ]
-        _emit(out_summary, {"config": cfg.to_json_dict(), "replications": cfg.replications, "replicas": replicas})
+        _emit(args.summary, {"config": cfg.to_json_dict(), "replications": cfg.replications, "replicas": replicas})
     return _exit_code(logs)
 
 
@@ -418,13 +373,12 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     logs = _run_replicas(cfg)
     try:
         body = _pooled_rate_summary(cfg, logs)
-    except analysis.InsufficientDataError as e:
+    except analysis.InsufficientDataError:
         # a replica that stopped early (at its first step, say) left too
         # little data: report the early stop, not the data shortage
         if any(lg.terminated_reason in EARLY_STOPS for lg in logs):
             return _exit_code(logs)
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise
     _emit(args.out, body)
     return _exit_code(logs)
 
@@ -621,6 +575,7 @@ _SHARED_OPTIONS = {
     "--out": dict(default=None, help="output path (stdout when omitted)"),
     "--seed": dict(type=int, default=None, help="override the config seed"),
     "--format": dict(choices=["csv", "json"], default="csv", help="tabular output format"),
+    "--weights": dict(default="100,10,1", help="r1,r2,r3"),
 }
 
 
@@ -640,11 +595,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("rate", _cmd_rate, "rate estimates with batch-means errors (JSON)", "--config --out --seed")
 
-    sp = command("foster", _cmd_foster, "drift construction and constraint report (JSON)", "--config --out --seed")
-    sp.add_argument("--weights", default="100,10,1", help="r1,r2,r3")
+    command("foster", _cmd_foster, "drift construction and constraint report (JSON)", "--config --out --seed --weights")
 
-    sp = command("drift", _cmd_drift, "drift map over a state grid (CSV)", "--config --out --seed")
-    sp.add_argument("--weights", default="100,10,1", help="r1,r2,r3")
+    sp = command("drift", _cmd_drift, "drift map over a state grid (CSV)", "--config --out --seed --weights")
     sp.add_argument("--n", type=int, default=100_000, help="draws per state")
     sp.add_argument("--states", default=None, help="semicolon-separated x,y pairs")
 
@@ -683,10 +636,7 @@ def run_command(argv: Sequence[str]) -> int:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, MemoryError, foster.FosterInfeasibleError) as e:
+    except (FileNotFoundError, ValueError, MemoryError, foster.FosterInfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -16,7 +16,8 @@ There are two phi families,
   the threshold, linear above it
 
 and three stress-drop laws: ``ExponentialZ(mean)``, ``UniformZ(low, high)``
-and ``DeterministicZ(value)``.  Each variant class carries its own formulas:
+and ``DeterministicZ(value)``.  Every variant parameter must be given; none
+has a default.  Each variant class carries its own formulas:
 
     phi  at(x)                 phi(x), x a float (math only) or an array
          hazard(x, c, t)       integral of phi(x + c*v) over [0, t], arrays
@@ -133,7 +134,7 @@ _WAIT_HALVINGS = np.array([j * math.log(2.0) for j in range(1, 61)])
 class ExponentialPhi:
     """phi(x) = exp(scale * x); positive everywhere, log-linear in x."""
 
-    scale: float = 1.0
+    scale: float
 
     def __post_init__(self) -> None:
         if not 0 < self.scale < _INF:
@@ -182,8 +183,9 @@ class ExponentialPhi:
         sc = s * c
         w = math.log(sc * e) - s * x
         if w > 36.0:
-            # log1p(exp(w)) = w + log1p(exp(-w)); the correction underflows
-            t = (w + math.exp(-w)) / sc
+            # log1p(exp(w)) = w + log1p(exp(-w)), and exp(-w) < 2.4e-16 is
+            # below half an ulp of w (3.6e-15 for w >= 32): w + exp(-w) == w
+            t = w / sc
         elif w < -36.0:
             t = math.exp(w) / sc
         else:
@@ -211,8 +213,8 @@ class ExponentialPhi:
 class ThresholdLinearPhi:
     """phi(x) = slope * max(0, x - theta); zero at and below the threshold."""
 
-    theta: float = 0.0
-    slope: float = 1.0
+    theta: float
+    slope: float
 
     def __post_init__(self) -> None:
         if not 0 < self.slope < _INF:

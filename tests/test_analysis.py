@@ -317,3 +317,30 @@ class TestSupercriticalProbe:
             ]
             medians.append(float(np.median(counts)))
         assert medians[1] <= medians[0] + 2.0
+
+
+def _burn_in_event_log(params, origin):
+    """A log over [0, 10] whose one event, at t = 0.5, falls in the burn-in."""
+    columns = (np.array([v]) for v in (0.5, 0.5, 0.0, 0.5, 0.5, math.exp(0.5), True))
+    return EventLog(params, origin, 10.0, "horizon_reached", *columns)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda p, s: estimate_rates(_burn_in_event_log(p, s)),
+            InsufficientDataError,
+            "insufficient data: no events after burn-in",
+        ),
+        (
+            lambda p, s: convergence_diagnostic(p, s, s, [], 10, np.random.default_rng(88)),
+            ValueError,
+            "t_grid must be non-empty",
+        ),
+    ],
+    ids=["no-events-after-burn-in", "empty-t-grid"],
+)
+def test_refusals(ref_params, origin, call, error, message):
+    with pytest.raises(error, match=message):
+        call(ref_params, origin)

@@ -1,12 +1,28 @@
 import csv
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quakesim import (
+    DeterministicZ,
+    ExponentialPhi,
+    ExponentialZ,
+    ModelParams,
+    State,
+    StopRule,
+    ThresholdLinearPhi,
+    UniformZ,
+    cli,
+)
 from quakesim.cli import ConfigError, RunConfig, parse_config, run_command
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 REF_CONFIG = {
     "model": {
@@ -96,9 +112,7 @@ class TestParseConfig:
     def test_round_trip(self):
         cfg = parse_config(json.dumps(REF_CONFIG))
         again = parse_config(json.dumps(cfg.to_json_dict()))
-        assert again == RunConfig(
-            cfg.model, cfg.initial, cfg.seed, cfg.stop, cfg.replications, cfg.burn_in_fraction, cfg.output
-        )
+        assert again == RunConfig(cfg.model, cfg.initial, cfg.seed, cfg.stop, cfg.replications, cfg.burn_in_fraction)
 
     def test_uniform_and_threshold_variants(self):
         alt = json.loads(json.dumps(REF_CONFIG))
@@ -113,10 +127,12 @@ class TestParseConfig:
             parse_config("{not json")
 
     def test_error_list_and_order(self):
-        # a missing section is reported twice: missing, then not an object
+        # a missing section is reported once; output paths are command-line
+        # options, not config keys
         with pytest.raises(ConfigError) as exc:
             parse_config('{"model": {}, "seed": -1, "output": {"events": 1}, "burn_in_fraction": 1}')
         assert exc.value.errors == [
+            "$.output: unknown key",
             "$.initial: missing key",
             "$.stop: missing key",
             "$.model.c: missing key",
@@ -124,11 +140,8 @@ class TestParseConfig:
             "$.model.alpha: missing key",
             "$.model.phi: missing key",
             "$.model.z: missing key",
-            "$.initial: expected object, got NoneType",
             "$.seed: must be an unsigned 64-bit integer",
-            "$.stop: expected object, got NoneType",
             "$.burn_in_fraction: must be < 1",
-            "$.output.events: expected string path",
         ]
 
     def test_cross_field_rules(self):
@@ -139,7 +152,7 @@ class TestParseConfig:
             parse_config(json.dumps(bad))
         assert exc.value.errors == [
             "$.model.z.x: unknown key",
-            "$.model.z.high: must be > low (2.0)",
+            "$.model.z: need finite high > low, got [2.0, 2.0]",
             "$.stop.when: unknown key",
             "$.stop: set max_events, horizon, or both",
         ]
@@ -168,6 +181,55 @@ class TestParseConfig:
         cfg = json.loads(json.dumps(REF_CONFIG))
         cfg["seed"] = 2**64 - 1
         assert parse_config(json.dumps(cfg)).seed == 2**64 - 1
+
+
+def _records(node):
+    """Every record of the config schema under `node`, depth first."""
+    if isinstance(node, cli._Variants):
+        for case in node.cases.values():
+            yield from _records(case)
+    elif isinstance(node, cli._Record):
+        yield node
+        for kind in node.fields.values():
+            yield from _records(kind)
+
+
+def test_schema_records_follow_their_types():
+    # each record builds a dataclass, one key per field, and may leave out
+    # exactly the fields that have a default
+    records = list(_records(cli._CONFIG))
+    assert {r.build for r in records} == {
+        RunConfig,
+        ModelParams,
+        ExponentialPhi,
+        ThresholdLinearPhi,
+        ExponentialZ,
+        UniformZ,
+        DeterministicZ,
+        State,
+        StopRule,
+    }
+    for record in records:
+        assert dataclasses.is_dataclass(record.build)
+        fields = dataclasses.fields(record.build)
+        assert sorted(record.fields) == sorted(f.name for f in fields)
+        errors = []
+        record.parse({}, "$", errors)
+        missing = {e.removesuffix(": missing key") for e in errors if e.endswith(": missing key")}
+        no_default = (dataclasses.MISSING, dataclasses.MISSING)
+        assert missing == {f"$.{f.name}" for f in fields if (f.default, f.default_factory) == no_default}
+
+
+def test_readme_reference_config(tmp_path, capsys):
+    # the README's reference configuration is valid, so it cannot drift from the schema
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    parse_config(block)
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert run_command(["regime", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["regime"] == "subcritical"
+    assert err == ""
 
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -212,7 +274,6 @@ def _configs(phi, z):
         optional={
             "replications": st.integers(1, 10**6),
             "burn_in_fraction": st.floats(0.0, 1.0, exclude_max=True),
-            "output": st.fixed_dictionaries({}, optional={"events": st.text(), "summary": st.text()}),
         },
     )
 
@@ -232,7 +293,6 @@ class TestSchemaRoundTrip:
                 if key in doc["model"]:
                     assert printed["model"][key] == doc["model"][key]
             assert printed["stop"] == doc["stop"]
-            assert printed["output"] == doc.get("output", {})
 
         check()
 

@@ -217,3 +217,10 @@ class TestConfigType:
             FosterConfig(0.0, 1.0, 0.5, 0.1, 1.0, 1.0, 1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
             FosterConfig(2.0, 1.0, 0.5, 0.1, 1.0, 1.0, 1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_return_times_refusals(ref_config, replications):
+    params, cfg = ref_config
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        return_times(params, cfg, State(0.0, 1.0), replications, np.random.default_rng(217))

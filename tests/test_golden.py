@@ -88,7 +88,7 @@ def test_golden_digests(tmp_path, capsys, name):
 DOCUMENTS = {
     "simulate_summary": (
         "exp_exponential", {"replications": 3}, "simulate --out {tmp}/events.csv --summary {out}",
-        "d96ed48dbd1fde9ad841b13f6ed0333d29e6b75e2e0ed8ed4381158b3fb0df1d",
+        "7d291f96ca88c8447cfb967f7b25f5ad00720873754d2e3ea4c454779d2f10ee",
     ),
     "foster": (
         "exp_exponential", {}, "foster --weights 100,10,1 --out {out}",

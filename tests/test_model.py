@@ -9,6 +9,7 @@ from quakesim import (
     DeterministicZ,
     ExponentialPhi,
     ExponentialZ,
+    FosterConfig,
     ModelParams,
     State,
     StopRule,
@@ -326,3 +327,19 @@ class TestParams:
         # from a NaN stress every wait is 5e-324, so time never advances
         with pytest.raises(ValueError, match="finite"):
             State(x, y)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ThresholdLinearPhi(math.nan, 1.0), "theta must be finite, got nan"),
+        (lambda: ThresholdLinearPhi(math.inf, 1.0), "theta must be finite, got inf"),
+        (lambda: FosterConfig(1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 1.0, -1.0, 0.1), "need r3 < r1, got r3=1.0, r1=1.0"),
+        (lambda: FosterConfig(1.0, 1.0, 2.0, 0.1, 1.0, 1.0, 1.0, -1.0, 0.1), "need r3 < r1, got r3=2.0, r1=1.0"),
+        (lambda: FosterConfig(2.0, 1.0, 1.0, 0.1, 1.0, 1.0, 1.0, -math.inf, 0.1), "x1 must be finite"),
+    ],
+    ids=["theta-nan", "theta-inf", "r3-equal", "r3-above", "x1-minus-inf"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -128,3 +128,10 @@ def test_batch_se():
     v = rng.normal(size=20)
     assert batch_se(v) == pytest.approx(float(np.std(v, ddof=1) / math.sqrt(20)), rel=1e-12)
     assert math.isnan(batch_se(np.array([1.0])))
+
+
+@pytest.mark.parametrize("statistic", [ks_two_sample, dominance_violation])
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([], [])])
+def test_empty_sample_refused(statistic, a, b):
+    with pytest.raises(ValueError, match="both samples must be non-empty"):
+        statistic(np.array(a), np.array(b))

@@ -134,3 +134,17 @@ class TestMechanics:
             ref_params, State(0.0, 0.0), 100.0, window=0.25, rng=np.random.default_rng(78)
         )
         assert log.event_count > 20
+
+
+@pytest.mark.parametrize(
+    "horizon, window, message",
+    [
+        (0.0, None, "horizon must be > 0"),
+        (math.nan, None, "horizon must be > 0"),
+        (10.0, 0.0, "window must be > 0"),
+        (10.0, -1.0, "window must be > 0"),
+    ],
+)
+def test_refusals(ref_params, origin, horizon, window, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_thinning(ref_params, origin, horizon, np.random.default_rng(79), window=window)

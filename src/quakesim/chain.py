@@ -14,12 +14,16 @@ event counts and rate estimates.
 
 One transition kernel makes every step of both chains, moving a mutable
 position in place; `simulate` and `step` (one transition from a `State`)
-both run it.  The kernel and `sample_interevent` write draw contract v1,
-the order in which one transition consumes its generator: a unit
-exponential for the primary clock, a uniform for the secondary clock (the
-clock formulas are in `model`), then the stress drop, drawn only for an
-event.  A trajectory is an `EventLog` of columns, one float64 array per
-field and a boolean event mask.
+both run it.  They read their randomness from a `Draws`, the three streams
+of draw contract v2: `rng.spawn(3)` of the trajectory's generator gives
+the unit exponentials E of the primary clock, the uniforms U of the
+secondary clock (the clock formulas are in `model`) and the stress drops
+Z, in that order.  Each transition takes the next E and the next U, and an
+event also the next Z; a truncation phantom takes no Z.  Each stream is
+read strictly in order, in blocks of a fixed size.  numpy's block draws
+equal its scalar draws, so the columns do not depend on the block size.
+A trajectory is an `EventLog` of columns, one float64 array per field
+and a boolean event mask.
 
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
@@ -33,7 +37,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .model import (
     FosterConfig,
     ModelParams,
     State,
+    ZSpec,
     cumulative_hazard_primary,
     intensity_saturated,
     phi_eval,
@@ -50,6 +55,7 @@ from .model import (
 
 __all__ = [
     "EARLY_STOPS",
+    "Draws",
     "EventLog",
     "StopRule",
     "sample_interevent",
@@ -65,6 +71,11 @@ EARLY_STOPS = {"saturation": "intensity saturation", "time_resolution": "float t
 
 # the float64 columns of an EventLog, in order; `is_event` follows them
 FLOAT_COLUMNS = ("t", "dt", "x", "y", "z", "lambda_pre")
+
+# values per block of a `Draws` stream.  A converge trajectory (about 100
+# events) reads one block per stream; on replicas' runs of about 1e4
+# events, larger blocks measured within about 1%.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -165,16 +176,48 @@ def state_at(log: EventLog, t: float) -> State:
     return flow(log.params, base, t - base_t)
 
 
-def sample_interevent(params: ModelParams, state: State, rng: np.random.Generator) -> float:
-    """Waiting time from `state`: the minimum of the two independent clocks.
+def sample_interevent(params: ModelParams, state: State, e: float, u: float) -> float:
+    """Waiting time from `state`: the minimum of the two independent clocks,
+    the primary clock inverted at the unit exponential `e` and the
+    secondary clock at the uniform `u`.
 
     The primary clock is finite with probability one, so the result is
-    always finite.  Consumes exactly one exponential and one uniform draw,
-    in that order.
+    always finite.
     """
-    t1 = primary_time_from_exponential(params.phi, state.x, params.c, rng.standard_exponential())
-    t2 = secondary_time_from_uniform(state.y, params.alpha, rng.random())
+    t1 = primary_time_from_exponential(params.phi, state.x, params.c, e)
+    t2 = secondary_time_from_uniform(state.y, params.alpha, u)
     return t1 if t1 <= t2 else t2
+
+
+def _stream(block: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of `block(_BLOCK)` calls, one at a time.  Overflow to inf
+    is left to the kernel's range check, which refuses it without a numpy
+    warning.  A block's list of floats is dropped before the next block is
+    drawn."""
+    while True:
+        with np.errstate(over="ignore"):
+            values = block(_BLOCK)
+        yield from values.tolist()
+
+
+class Draws:
+    """The draw streams of one trajectory under draw contract v2.
+
+    `rng.spawn(3)` gives the streams of the primary exponentials, the
+    secondary uniforms and the drops of law `z` (kept as `law`), in that
+    order; `e()`, `u()` and `z()` return each stream's next value.  Each
+    spawn gives new children, so two `Draws` of one generator read
+    different streams.
+    """
+
+    __slots__ = ("law", "e", "u", "z")
+
+    def __init__(self, rng: np.random.Generator, z: ZSpec) -> None:
+        e_rng, u_rng, z_rng = rng.spawn(3)
+        self.law = z
+        self.e = _stream(e_rng.standard_exponential).__next__
+        self.u = _stream(u_rng.random).__next__
+        self.z = _stream(lambda n: z.draws(z_rng, n)).__next__
 
 
 class _Position:
@@ -193,10 +236,10 @@ class _Position:
 
 
 def _kernel(
-    params: ModelParams, truncated: Optional[FosterConfig], rng: np.random.Generator
+    params: ModelParams, truncated: Optional[FosterConfig], draws: Draws
 ) -> Callable[[_Position], tuple[float, float, float, bool]]:
     """The transition function of the natural chain (`truncated` None) or the
-    truncated embedding, drawing from `rng`.
+    truncated embedding, reading `draws`.
 
     `transition(pos)` moves `pos` to the post-transition state and returns
     (dt, z, lambda_pre, is_event).  The wait comes from `sample_interevent`.
@@ -205,11 +248,12 @@ def _kernel(
     guarantees v0 > 0 and x1 < 0, both finite.  A stress drop is drawn only
     for an event.
     """
-    phi, draw, c, k, alpha = params.phi, params.z.draw, params.c, params.k, params.alpha
+    phi, c, k, alpha = params.phi, params.c, params.k, params.alpha
+    next_e, next_u, next_z = draws.e, draws.u, draws.z
     exp, inf = math.exp, math.inf
 
     def transition(pos: _Position) -> tuple[float, float, float, bool]:
-        dt = sample_interevent(params, pos, rng)
+        dt = sample_interevent(params, pos, next_e(), next_u())
         event = truncated is None or pos.x > truncated.x1 or dt <= truncated.v0
         if not event:
             dt = truncated.v0
@@ -218,7 +262,7 @@ def _kernel(
         y = pos.y * decay
         lam = phi_eval(phi, x) + y
         if event:
-            z = draw(rng)
+            z = next_z()
             x, y = x - z, y + k
         else:
             z = 0.0
@@ -231,16 +275,20 @@ def _kernel(
 
 
 def step(
-    params: ModelParams, state: State, rng: np.random.Generator, truncated: Optional[FosterConfig] = None
+    params: ModelParams, state: State, draws: Draws, truncated: Optional[FosterConfig] = None
 ) -> tuple[State, float, float, float, bool]:
     """One transition from `state`, of the natural chain or, with
     `truncated` set, of the truncated embedding (as in `simulate`).
 
-    Returns (post-transition state, dt, z, lambda_pre, is_event), drawing
-    from `rng` exactly as the matching step of `simulate` does.
+    Returns (post-transition state, dt, z, lambda_pre, is_event), reading
+    `draws` exactly as the matching step of `simulate` does: steps from
+    `Draws(rng, params.z)` replay `simulate(..., rng)`.  `draws` must be of
+    params.z's drop law.
     """
+    if draws.law != params.z:
+        raise ValueError(f"draws are of drop law {draws.law}, params of {params.z}")
     pos = _Position(state.x, state.y)
-    dt, z, lam, event = _kernel(params, truncated, rng)(pos)
+    dt, z, lam, event = _kernel(params, truncated, draws)(pos)
     return State(pos.x, pos.y), dt, z, lam, event
 
 
@@ -251,7 +299,8 @@ def simulate(
     rng: np.random.Generator,
     truncated: Optional[FosterConfig] = None,
 ) -> EventLog:
-    """Simulate one trajectory of the embedded chain.
+    """Simulate one trajectory of the embedded chain, reading `Draws(rng,
+    params.z)`.
 
     With `truncated` set, transitions follow the truncated embedding and
     phantom rows may appear.
@@ -261,7 +310,7 @@ def simulate(
     below the float resolution of the clock gives "time_resolution".  See
     `EventLog` for all four reasons.
     """
-    transition = _kernel(params, truncated, rng)
+    transition = _kernel(params, truncated, Draws(rng, params.z))
     pos = _Position(initial.x, initial.y)
     max_events = math.inf if stop.max_events is None else stop.max_events
     horizon = math.inf if stop.horizon is None else stop.horizon

@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -623,6 +624,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` during a command: a library warning becomes a
+    `warning:` line like the command's own, without a source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run_command(argv: Sequence[str]) -> int:
     """Execute a CLI invocation; returns the process exit code."""
     parser = _build_parser()
@@ -631,7 +638,9 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ConfigError as e:
         for msg in e.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import step
+from .chain import Draws, step
 from .model import (
     FosterConfig,
     ModelParams,
@@ -427,10 +427,11 @@ def return_times(
     taus: list[int] = []
     exhausted = 0
     for child in rng.spawn(replications):
+        draws = Draws(child, params.z)
         state = initial
         hit = 0
         for n in range(1, _RETURN_BUDGET + 1):
-            state = step(params, state, child, truncated=config)[0]
+            state = step(params, state, draws, truncated=config)[0]
             if config.in_recurrent_set(state.x, state.y):
                 hit = n
                 break

@@ -507,20 +507,21 @@ def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) ->
 
 
 def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:
-    """Invert the defective secondary survival at the uniform draw u.
+    """Invert the defective secondary survival at the uniform draw u:
+    T = -log1p((alpha/y)*log(u))/alpha, which keeps its relative accuracy
+    where (alpha/y)*log(u) is far below 1 (huge y).
 
     Returns math.inf for draws that land in the never-fires atom
-    (u <= exp(-y/alpha), tested in log space so large y stays exact).
+    (u <= exp(-y/alpha), tested as (alpha/y)*log(u) <= -1).
     """
     if y <= 0.0:
         return math.inf
     if u <= 0.0:
         u = _TINY
-    lu = math.log(u)
-    arg = 1.0 + (alpha / y) * lu
-    if lu * alpha <= -y or arg <= 0.0:
+    a = (alpha / y) * math.log(u)
+    if a <= -1.0:
         return math.inf
-    t = -math.log(arg) / alpha
+    t = -math.log1p(a) / alpha
     return t if t > 0.0 else _TINY
 
 
@@ -548,18 +549,15 @@ def sample_secondary_times(y: float, alpha: float, rng: np.random.Generator, n: 
 
 
 def secondary_times_from_uniforms(y: float, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Vectorised secondary inversion applied to given uniforms."""
+    """Vectorised secondary inversion applied to given uniforms, by the
+    formula of `secondary_time_from_uniform`."""
     u = np.maximum(np.asarray(u, dtype=float), _TINY)
-    if y <= 0.0:
-        return np.full(u.shape, np.inf)
-    lu = np.log(u)
     out = np.full(u.shape, np.inf)
-    finite = lu * alpha > -y
-    arg = 1.0 + (alpha / y) * lu[finite]
-    good = arg > 0.0
-    vals = np.full(arg.shape, np.inf)
-    vals[good] = np.maximum(-np.log(arg[good]) / alpha, _TINY)
-    out[finite] = vals
+    if y <= 0.0:
+        return out
+    a = (alpha / y) * np.log(u)
+    fires = a > -1.0
+    out[fires] = np.maximum(-np.log1p(a[fires]) / alpha, _TINY)
     return out
 
 

@@ -9,6 +9,16 @@ master seed s draws from
 
 Replica streams are independent of each other and of how many replicas run
 or in what order.
+
+Within a trajectory, draw contract v2 (written in `quakesim.chain`) spawns
+three child streams of the trajectory's generator with `Generator.spawn`:
+spawn keys (..., 0), (..., 1) and (..., 2) carry the primary-clock
+exponentials, the secondary-clock uniforms and the stress drops.  Under
+`substream(s, i)` they are (i, 0), (i, 1) and (i, 2).  One caveat for
+library callers: `master(s)` has the empty spawn key, so a trajectory
+simulated on it reads the keys (0,), (1,) and (2,), which are the roots of
+`substream(s, 0)`, `substream(s, 1)` and `substream(s, 2)`: a run on
+`master(s)` is not independent of runs on those substreams.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from quakesim import (
+    DeterministicZ,
+    Draws,
     EventLog,
     ExponentialZ,
     FosterConfig,
@@ -61,8 +64,8 @@ class TestStepAlgebra:
     def test_first_step_marginal_matches_primary(self, ref_params, origin):
         # from y = 0 the second clock is off, so the first wait has the
         # primary-clock law
-        rng = np.random.default_rng(42)
-        waits = np.array([step(ref_params, origin, rng)[1] for _ in range(30_000)])
+        draws = Draws(np.random.default_rng(42), ref_params.z)
+        waits = np.array([step(ref_params, origin, draws)[1] for _ in range(30_000)])
         from quakesim import sample_primary_times
 
         ref = sample_primary_times(ref_params.phi, 0.0, 1.0, np.random.default_rng(43), 30_000)
@@ -149,11 +152,24 @@ class TestSimulate:
         rate = log.event_count / log.horizon
         assert abs(rate - 0.5) < 0.02
 
-    def test_drop_beyond_float_range_is_refused(self, ref_params, origin):
-        # a drop of ~1.5e308 sends the stress to -inf, which no state holds
-        params = ModelParams(ref_params.c, ref_params.k, ref_params.alpha, ref_params.phi, ExponentialZ(1.5e308))
+    def test_drop_beyond_float_range_is_refused(self, ref_params):
+        # from y = 1e3 the secondary clock fires within about 1.4 for every
+        # float uniform, long before the primary clock at x = -1e308; the
+        # first drop of 1.5e308 then sends the stress to -inf, which no
+        # state holds, whatever the draws
+        params = ModelParams(ref_params.c, ref_params.k, ref_params.alpha, ref_params.phi, DeterministicZ(1.5e308))
         with pytest.raises(ValueError, match="need finite x"):
-            simulate(params, origin, StopRule(horizon=400.0), master(42))
+            simulate(params, State(-1e308, 1e3), StopRule(horizon=400.0), master(42))
+
+    def test_exponential_drop_overflow_draws_without_a_warning(self):
+        # 1.5e308 times a unit exponential above about 1.2 overflows to inf;
+        # the block is drawn without numpy's RuntimeWarning, and the
+        # kernel's range check is left to refuse the drop
+        draws = Draws(master(42), ExponentialZ(1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drops = [draws.z() for _ in range(64)]
+        assert math.inf in drops
 
     def test_stop_rule_validation(self):
         with pytest.raises(ValueError):
@@ -168,8 +184,8 @@ class TestTruncatedChain:
     def test_phantoms_below_threshold(self):
         params = ModelParams(1.0, 0.5, 1.0, ThresholdLinearPhi(0.0, 1.0), ExponentialZ(2.0))
         cfg = small_foster(v0=2.0, x1=-50.0)
-        rng = np.random.default_rng(52)
-        new, dt, z, _, is_event = step(params, State(-100.0, 0.0), rng, truncated=cfg)
+        draws = Draws(np.random.default_rng(52), params.z)
+        new, dt, z, _, is_event = step(params, State(-100.0, 0.0), draws, truncated=cfg)
         assert not is_event
         assert dt == cfg.v0
         assert z == 0.0
@@ -180,8 +196,8 @@ class TestTruncatedChain:
     def test_above_threshold_matches_natural(self, ref_params):
         cfg = small_foster()
         state = State(0.0, 1.0)
-        a = np.random.default_rng(53)
-        b = np.random.default_rng(53)
+        a = Draws(np.random.default_rng(53), ref_params.z)
+        b = Draws(np.random.default_rng(53), ref_params.z)
         new_t, *rec_t = step(ref_params, state, a, truncated=cfg)
         new_n, *rec_n = step(ref_params, state, b)
         assert rec_t == rec_n
@@ -191,10 +207,10 @@ class TestTruncatedChain:
         # branch x > x1 is the natural kernel in law
         cfg = small_foster()
         state = State(0.0, 1.0)
-        rng = np.random.default_rng(54)
-        xs_t = np.array([step(ref_params, state, rng, truncated=cfg)[0].x for _ in range(20_000)])
-        rng2 = np.random.default_rng(55)
-        xs_n = np.array([step(ref_params, state, rng2)[0].x for _ in range(20_000)])
+        draws = Draws(np.random.default_rng(54), ref_params.z)
+        xs_t = np.array([step(ref_params, state, draws, truncated=cfg)[0].x for _ in range(20_000)])
+        draws2 = Draws(np.random.default_rng(55), ref_params.z)
+        xs_n = np.array([step(ref_params, state, draws2)[0].x for _ in range(20_000)])
         assert ks_two_sample(xs_t, xs_n) <= 1.63 * math.sqrt(2.0 / 20_000)
 
     def test_phantom_bookkeeping_in_log(self):

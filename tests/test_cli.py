@@ -345,7 +345,10 @@ class TestSimulateCommand:
         assert code == 2
 
     def test_drop_beyond_float_range_exit_one(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, z={"kind": "exponential", "mean": 1.5e308})
+        # the first drop leaves the float range whatever the draws (see
+        # test_chain's test_drop_beyond_float_range_is_refused)
+        cfg = write_config(tmp_path, z={"kind": "deterministic", "value": 1.5e308})
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "initial": {"x": -1e308, "y": 1e3}}))
         out = tmp_path / "events.csv"
         assert run_command(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
@@ -371,6 +374,14 @@ class TestRateCommand:
         assert body["rate_theory"] == 0.5
         assert abs(body["per_replica"][0]["rate_hat"] - 0.5) < 0.05
 
+    def test_no_burn_in_warns_once(self, tmp_path, capsys):
+        # every replica's estimate warns from the same place: one line
+        cfg = write_config(tmp_path, horizon=200.0, replications=3)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "burn_in_fraction": 0.0}))
+        out = tmp_path / "rate.json"
+        assert run_command(["rate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["per_replica"]) == 3
+        assert capsys.readouterr() == ("", "warning: burn-in disabled: estimates include the initial transient\n")
 
     def test_empty_log_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -461,6 +472,22 @@ class TestOtherCommands:
             "warning: 20 of 40 chains stopped early, the first by intensity saturation at t=0; "
             "no KS distances computed\n"
         )
+
+    def test_converge_library_warning_is_one_line(self, tmp_path, capsys):
+        # the library's UserWarning reads like the command's own warnings:
+        # no source path or line, once per command
+        cfg = write_config(tmp_path, z={"kind": "deterministic", "value": 2.0})
+        out = tmp_path / "ks.csv"
+        argv = ["converge", "--config", str(cfg), "--out", str(out), "--t-grid", "5,20", "--replications", "50"]
+        expected = (
+            "",
+            "warning: stress-drop law has no absolutely continuous component; "
+            "ergodic convergence is not guaranteed for this configuration\n",
+        )
+        for _ in range(2):
+            assert run_command(argv) == 0
+            assert out.exists()
+            assert capsys.readouterr() == expected
 
     def test_dominance(self, tmp_path):
         cfg = write_config(tmp_path)

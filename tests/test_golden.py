@@ -1,4 +1,4 @@
-"""Golden digests of draw contract v1.
+"""Golden digests of draw contract v2.
 
 The event CSV and rate JSON of a fixed seed are pinned by sha256, so any
 change to the draw order or the float arithmetic of the event loop shows
@@ -29,31 +29,31 @@ _REF_MODEL = {
 GOLDEN = {
     "exp_exponential": (
         _REF_MODEL, 42, {"horizon": 2000.0},
-        "9e43acb792b93261eed3fd2c498805d5ea81447b93db441fc76619baa979f1e6",
-        "65327dc929a393b0724f39bec86112d5e9c167dd66f37c73206e451093538743",
+        "cce8b432a22de50f5197261a9d0b1b82161917fb51b60f1628b97b404b6a3d13",
+        "15a5443157b97ed147bdbf1c9d91f16bfc2e0a24f608726e55a08d0949f47ab6",
         0,
     ),
     "threshold_linear_uniform": (
         {**_REF_MODEL, "phi": {"kind": "threshold_linear", "theta": 0.5, "slope": 2.0},
          "z": {"kind": "uniform", "low": 1.0, "high": 3.0}},
         7, {"horizon": 2000.0},
-        "232f5883bf171d4a54f1d0294021e7f845c731546eca390de346e7dea655372f",
-        "f70cd10e176d5a18ed9f09ccac2760ae519f88a6040a16d2c5c9479a99a05649",
+        "3d58f6a8930744a2d07216fc74a5ee01e1bf06183996ff69762633205c3ba8cd",
+        "f8a54bf05a342dc56cec97fd76bddf36b63ca5a9d363f0ff1ccf84c5dbb1d1fa",
         0,
     ),
     "deterministic_z": (
         {**_REF_MODEL, "z": {"kind": "deterministic", "value": 2.0}},
         3, {"horizon": 2000.0},
-        "95bb233cba0d53ccc9ce68b33f740dd2c7e61b20bf4b896c23be56da20617d45",
-        "d24af9b472384a3321aed2a6cac2a3f02ac2de312e17b5709073b6598bf8607b",
+        "c47e492bbb32025944a365966470be9b64005e723e2dad44f463e88a17d0900e",
+        "d85eea5175105fe37115684802c692e88cac972d9cf92668f01443bdda3e5759",
         0,
     ),
     # supercritical (k/alpha = 2) with a low cap: saturates after a burst
     "saturation": (
         {**_REF_MODEL, "k": 2.0, "intensity_cap": 1e4},
         11, {"horizon": 2000.0},
-        "9b87ff62686a0cef60e7fafece12c2e024fbb6d9b853df7e3791ab718f9eafb8",
-        "2b45f6072c5ffffea8afb6bff2a6bf2c4de47a2f8dd20bd32784cf075595bacd",
+        "9764fca40341884faedb80178b17040ffa93d94e5688a7e981514c004d57af23",
+        "9deb15d5c31de09494d6cb7a7278c49d8d57354af2c8b56f7f5fdf15f82eb7e6",
         2,
     ),
 }
@@ -88,23 +88,23 @@ def test_golden_digests(tmp_path, capsys, name):
 DOCUMENTS = {
     "simulate_summary": (
         "exp_exponential", {"replications": 3}, "simulate --out {tmp}/events.csv --summary {out}",
-        "7d291f96ca88c8447cfb967f7b25f5ad00720873754d2e3ea4c454779d2f10ee",
+        "7b1d815237ae616cea93190aa6eb825e40c05ce4c4c5028000085bbee1914f7d",
     ),
     "foster": (
         "exp_exponential", {}, "foster --weights 100,10,1 --out {out}",
-        "a879e5ef964a8a4c199c33b12eeb980fd2200cef387131fd6264b33fa5e6e3e7",
+        "23251b4f68be763132574cea899dc72840466c185d9cd88c86b709d83db31c81",
     ),
     "drift": (
         "exp_exponential", {}, "drift --n 2000 --out {out}",
-        "f64ff929c11555e1d3174aec8810e205ec0b2e87853f8509c075ba8528b42e93",
+        "4e28cdf43f71ef1f7b6e0c1ccff566b304f620cae681c5c990536526a196dcb3",
     ),
     "converge_csv": (
         "exp_exponential", {}, "converge --replications 100 --t-grid 5,20 --out {out}",
-        "39d8def317c5e1dca6a1f831311641cff8994994108e63827b06a770edd35611",
+        "bbb4dfcb233b57f6a21fc85cf6d0ff41eb3078d98b265c66d7faa03ee1e4cf56",
     ),
     "converge_json": (
         "exp_exponential", {}, "converge --replications 100 --t-grid 5,20 --format json --out {out}",
-        "db0170f7ccf504e091fcd48f1574dfce251e3c304eaaa651e0768f2d24334720",
+        "3a8128e42112f9a432374013a0a823808e0b23335e2b235762ec002c866a979a",
     ),
     "dominance": (
         "exp_exponential", {}, "dominance --n 2000 --out {out}",
@@ -124,7 +124,7 @@ DOCUMENTS = {
     ),
     "probe_supercritical": (
         "saturation", {}, "probe-supercritical --horizon 20 --budget 20000 --out {out}",
-        "449952d18462bea6ce8139a4a3ecc524ba87760cb956ea52d353d72f419f2cdf",
+        "1954255dc0c460d93a9f633740f468209cd657a93a62ab1bab3bf0e07983f00d",
     ),
 }
 
@@ -143,16 +143,16 @@ def test_golden_documents(tmp_path, capsys, name):
 
 # columns (t, dt, x, y, z, lambda_pre) of the truncated run below, as float.hex
 TRUNCATED_COLUMNS = [
-    ("0x1.ab24568f714e5p-5", "0x1.ab24568f714e5p-5", "-0x1.dd546f8cad62cp+1012",
-     "0x1.72fe6c4e2d398p+0", "0x1.2cada8da3ca9bp-3", "0x1.e5fcd89c5a731p-1"),
-    ("0x1.aea98e478ed6fp+0", "0x1.a1506b93134c8p+0", "-0x1.dd546f8cad62cp+1012",
-     "0x1.915ba22ada8b4p-1", "0x1.d885dd929e159p-3", "0x1.22b74455b5169p-2"),
+    ("0x1.5ba7a36411e86p+0", "0x1.5ba7a36411e86p+0", "-0x1.dd546f8cad62cp+1012",
+     "0x1.83ab7d9418e5ep-1", "0x1.10d319870057dp-1", "0x1.0756fb2831cbcp-2"),
+    ("0x1.3d0bafa0558aap+1", "0x1.1e6fbbdc992cep+0", "-0x1.dd546f8cad62cp+1012",
+     "0x1.7ea107baa6e9cp-1", "0x1.35cd2d0019746p-3", "0x1.fa841eea9ba6ep-3"),
     ("0x1.dd546f84ab451p+1011", "0x1.dd546f84ab451p+1011", "-0x1.dd546f94af807p+1011",
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ("0x1.dd546f84ab451p+1012", "0x1.dd546f84ab451p+1011", "-0x1.0043b60000000p+983",
      "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    ("0x1.dd546f8cad62cp+1012", "0x1.0043b60000000p+983", "-0x1.d845db59e6419p-2",
-     "0x1.0000000000000p-1", "0x1.d845db59e6419p-2", "0x1.0000000000000p+0"),
+    ("0x1.dd546f8cad62cp+1012", "0x1.0043b60000000p+983", "-0x1.b72695b9fb118p-2",
+     "0x1.0000000000000p-1", "0x1.b72695b9fb118p-2", "0x1.0000000000000p+0"),
 ]
 
 

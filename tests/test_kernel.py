@@ -1,8 +1,8 @@
 """The one transition kernel behind every chain step, and the columnar log.
 
 `simulate` and `step` run the same kernel, so a trajectory replayed one
-step at a time on an identically seeded generator must reproduce
-`simulate`'s columns bit for bit.  The names the benchmark tracer wraps
+step at a time from the `Draws` of an identically seeded generator must
+reproduce `simulate`'s columns bit for bit.  The names the benchmark tracer wraps
 must stay where it looks for them.
 """
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from quakesim import (
     DeterministicZ,
+    Draws,
     ExponentialPhi,
     ExponentialZ,
     FosterConfig,
@@ -62,11 +63,11 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
     cfg = FosterConfig(r1=10.0, r2=2.0, r3=1.0, gamma=0.1, x0=5.0, y0=4.0, v0=v0, x1=x1, delta=0.25) if truncated else None
     log = simulate(params, State(x, y), StopRule(max_events=40, horizon=500.0), master(seed), truncated=cfg)
 
-    rng = master(seed)
+    draws = Draws(master(seed), params.z)
     state, t = State(x, y), 0.0
     rows, kinds = [], []
     for _ in range(log.t.size):
-        state, dt, z, lam, event = step(params, state, rng, truncated=cfg)
+        state, dt, z, lam, event = step(params, state, draws, truncated=cfg)
         t += dt
         rows.append((t, dt, state.x, state.y, z, lam))
         kinds.append(event)
@@ -74,6 +75,41 @@ def test_simulate_is_a_replay_of_single_steps(phi, z, c, k, alpha, x, y, truncat
     assert got.tobytes() == np.array(rows, dtype=float).reshape(-1, 6).tobytes()
     assert log.is_event.tolist() == kinds
     assert log.event_count == sum(kinds)
+
+
+def test_step_refuses_draws_of_another_drop_law(ref_params, origin):
+    draws = Draws(master(3), DeterministicZ(2.0))
+    with pytest.raises(ValueError, match="drop law"):
+        step(ref_params, origin, draws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi=_PHIS,
+    z=_ZS,
+    k=st.floats(0.0, 1.5),
+    x=st.floats(-40.0, 4.0),
+    y=st.floats(0.0, 5.0),
+    truncated=st.booleans(),
+    x1=st.floats(-20.0, -1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_columns_do_not_depend_on_the_block_size(phi, z, k, x, y, truncated, x1, seed):
+    import quakesim.chain
+
+    params = ModelParams(1.0, k, 1.0, phi, z)
+    cfg = None
+    if truncated:
+        cfg = FosterConfig(r1=10.0, r2=2.0, r3=1.0, gamma=0.1, x0=5.0, y0=4.0, v0=2.0, x1=x1, delta=0.25)
+    columns = []
+    # one value per refill against the blocks users run
+    for block in (1, quakesim.chain._BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quakesim.chain, "_BLOCK", block)
+            log = simulate(params, State(x, y), StopRule(max_events=200, horizon=500.0), master(seed), truncated=cfg)
+        got = np.column_stack([log.t, log.dt, log.x, log.y, log.z, log.lambda_pre])
+        columns.append((got.tobytes(), log.is_event.tobytes(), log.terminated_reason))
+    assert columns[0] == columns[1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quakesim import (
+    Draws,
     ExponentialPhi,
     ExponentialZ,
     FosterConfig,
@@ -209,11 +210,6 @@ class TestSecondaryInversion:
             )
             np.testing.assert_allclose(vec, scal, rtol=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="for y above about 1e16, 1 + (alpha/y)*log(u) rounds to 1 and every wait floors at 5e-324; "
-        "the log1p form changes output bytes, so it rides with draw contract v2 (ROADMAP item 1)",
-    )
     @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
     @pytest.mark.parametrize("y", [1e20, 1e300])
     def test_scaled_shrinkage_at_huge_residual(self, y, batch):
@@ -347,7 +343,12 @@ class TestInterevent:
 
     def test_scalar_path_distribution(self, ref_params):
         rng = np.random.default_rng(18)
-        scal = np.array([sample_interevent(ref_params, State(0.0, 1.0), rng) for _ in range(30_000)])
+        scal = np.array(
+            [
+                sample_interevent(ref_params, State(0.0, 1.0), rng.standard_exponential(), rng.random())
+                for _ in range(30_000)
+            ]
+        )
         batch = np.minimum(
             sample_primary_times(ref_params.phi, 0.0, 1.0, np.random.default_rng(19), 30_000),
             sample_secondary_times(1.0, 1.0, np.random.default_rng(20), 30_000),
@@ -360,7 +361,8 @@ class TestInterevent:
         rng = np.random.default_rng(21)
         for y in (0.0, 1.0, 50.0):
             for _ in range(200):
-                assert math.isfinite(sample_interevent(ref_params, State(0.0, y), rng))
+                e, u = rng.standard_exponential(), rng.random()
+                assert math.isfinite(sample_interevent(ref_params, State(0.0, y), e, u))
 
     def test_survival_product_example(self, ref_params):
         # P(T > 1) from (0, 1) is the product of the clock survivals at t=1
@@ -407,20 +409,20 @@ def truncation(v0, x1):
 
 class TestTruncatedDraw:
     def test_above_threshold_always_real(self, ref_params):
-        rng = np.random.default_rng(25)
+        draws = Draws(np.random.default_rng(25), ref_params.z)
         for _ in range(500):
-            assert step(ref_params, State(0.0, 1.0), rng, truncated=truncation(2.0, -5.0))[4]
+            assert step(ref_params, State(0.0, 1.0), draws, truncated=truncation(2.0, -5.0))[4]
 
     def test_deep_below_threshold_is_phantom(self):
         # threshold-linear hazard, stress far below threshold: the wait
         # exceeds the cap essentially always
         params = ModelParams(1.0, 0.5, 1.0, ThresholdLinearPhi(0.0, 1.0), ExponentialZ(2.0))
-        rng = np.random.default_rng(26)
+        draws = Draws(np.random.default_rng(26), params.z)
         v0 = 2.0
         phantoms = 0
         n = 5000
         for _ in range(n):
-            _, dt, _, _, is_event = step(params, State(-100.0, 0.0), rng, truncated=truncation(v0, -50.0))
+            _, dt, _, _, is_event = step(params, State(-100.0, 0.0), draws, truncated=truncation(v0, -50.0))
             assert dt <= v0
             phantoms += not is_event
             if not is_event:
@@ -428,12 +430,12 @@ class TestTruncatedDraw:
         assert phantoms / n >= 0.999
 
     def test_capped_mean(self, ref_params):
-        rng = np.random.default_rng(27)
+        draws = Draws(np.random.default_rng(27), ref_params.z)
         v0 = 1.5
-        draws = [
-            step(ref_params, State(-10.0, 0.2), rng, truncated=truncation(v0, -5.0))[1] for _ in range(2000)
+        waits = [
+            step(ref_params, State(-10.0, 0.2), draws, truncated=truncation(v0, -5.0))[1] for _ in range(2000)
         ]
-        assert float(np.mean(draws)) <= v0
+        assert float(np.mean(waits)) <= v0
 
     def test_validation(self):
         # the config refuses what the draw no longer checks per call

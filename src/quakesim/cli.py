@@ -19,14 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import enum
-import itertools
 import json
 import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,10 +55,8 @@ EXIT_VALIDATION = 1
 EXIT_EARLY_STOP = 2
 EXIT_SELFTEST = 3
 
-CSV_HEADER = ["n", "t", "dt", "kind", "x", "y", "z", "lambda_pre"]
-# one event CSV row: floats with 17 significant digits, as `_emit` writes them
-_EVENT_ROW = "%d,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%.17g\n"
-_EVENT_BLOCK = 4096  # rows formatted per write
+_CSV_BLOCK = 4096  # rows formatted per write
+_KINDS = np.array(["phantom", "event"], dtype=object)  # event CSV kind, by is_event
 
 
 class ConfigError(ValueError):
@@ -257,54 +253,41 @@ def parse_config(text: str) -> RunConfig:
 def _emit(out: Optional[str], doc: Any, fmt: str = "json", table: Optional[str] = None) -> None:
     """Write `doc` to the file `out`, or to stdout when `out` is None.
 
-    As JSON, `doc` is written whole, indented, with sorted keys, and each
-    enum as its value.  As CSV, the rows are `doc[table]` (`doc` itself
-    when `table` is None): mappings that share their keys, which name the
-    columns.
-    Each column's formatter is chosen once, from its first value: floats
-    get 17 significant digits, so they round-trip exactly, anything else
-    str().  Fields are numbers, booleans and bare words, so none needs
-    quoting.
+    As JSON, `doc` is written whole, indented, with sorted keys.  As CSV,
+    the rows are `doc[table]` (`doc` itself when `table` is None):
+    mappings that share their keys, which name the columns.
     """
-    lines: Iterable[str]
     if fmt == "json":
-        lines = [json.dumps(doc, indent=2, sort_keys=True, default=_enum_value) + "\n"]
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with _output(out) as f:
+            f.write(text)
     else:
-        rows = iter(doc if table is None else doc[table])
-        first = next(rows, None)
-        columns = list(first or ())
-        lines = [",".join(columns) + "\n"]
-        if first is not None:
-            line = ",".join(f"{{{c}:.17g}}" if isinstance(first[c], float) else f"{{{c}}}" for c in columns)
-            lines = itertools.chain(lines, map((line + "\n").format_map, itertools.chain([first], rows)))
+        rows = list(doc if table is None else doc[table])
+        _write_csv(out, {name: [row[name] for row in rows] for name in (rows[0] if rows else ())})
+
+
+def _write_csv(out: Optional[str], columns: dict[str, Sequence]) -> None:
+    """Write `columns` (name -> equal-length list, range or array) as CSV,
+    formatted in blocks of rows.
+
+    Each column's format is chosen once, from its first value: floats get
+    17 significant digits, so they round-trip exactly, anything else str().
+    Fields are numbers, booleans and bare words, so none needs quoting.
+    """
+    values = list(columns.values())
+    n = len(values[0]) if values else 0
+    row = ",".join("%.17g" if isinstance(col[0], float) else "%s" for col in values) + "\n" if n else ""
     with _output(out) as f:
-        f.writelines(lines)
-
-
-def _enum_value(obj: Any) -> Any:
-    """`json.dumps` hook for what JSON has no type for: an enum member
-    becomes its value, anything else is refused."""
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        f.write(",".join(columns) + "\n")
+        for i in range(0, n, _CSV_BLOCK):
+            block = (col[i : i + _CSV_BLOCK] for col in values)
+            rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in block))
+            f.write("".join(map(row.__mod__, rows)))
 
 
 def _output(out: Optional[str]):
     """The file `out` opened for writing, or stdout when `out` is None."""
     return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
-
-
-def _write_events(out: Optional[str], log: EventLog) -> None:
-    """The event CSV of `log`, formatted from its columns in blocks of rows."""
-    kinds = ("phantom", "event")
-    with _output(out) as f:
-        f.write(",".join(CSV_HEADER) + "\n")
-        for i in range(0, log.t.size, _EVENT_BLOCK):
-            block = slice(i, i + _EVENT_BLOCK)
-            t, dt, x, y, z, lam = (col[block].tolist() for col in (log.t, log.dt, log.x, log.y, log.z, log.lambda_pre))
-            kind = [kinds[e] for e in log.is_event[block].tolist()]
-            rows = zip(range(i + 1, i + 1 + len(t)), t, dt, kind, x, y, z, lam)
-            f.write("".join(map(_EVENT_ROW.__mod__, rows)))
 
 
 def _record(obj: Any, *derived: str) -> dict:
@@ -338,7 +321,10 @@ def _exit_code(logs: list[EventLog]) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     logs = _run_replicas(cfg)
-    _write_events(args.out, logs[0])
+    log = logs[0]
+    n = range(1, log.t.size + 1)
+    kind = _KINDS[log.is_event.astype(np.intp)]
+    _write_csv(args.out, dict(n=n, t=log.t, dt=log.dt, kind=kind, x=log.x, y=log.y, z=log.z, lambda_pre=log.lambda_pre))
     if args.summary:
         replicas = [
             {

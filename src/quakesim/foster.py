@@ -118,12 +118,12 @@ def _check_weights(params: ModelParams, r1: float, r2: float, r3: float) -> floa
     for name, v in (("r1", r1), ("r2", r2), ("r3", r3)):
         if not 0 < v < math.inf:
             raise WeightConstraintError(f"{name} must be finite and > 0, got {v}")
-    ez = params.z.expectation()
-    delta = 0.5 * (params.alpha - params.k)
-    if delta <= 0:
+    if regime(params) is not Regime.SUBCRITICAL:
         raise WeightConstraintError(
             f"drift construction needs k < alpha (subcritical); got k/alpha = {params.k / params.alpha}"
         )
+    ez = params.z.expectation()
+    delta = 0.5 * (params.alpha - params.k)
     if not r3 < r1:
         raise WeightConstraintError(f"violates weights_order: need r3 < r1, got r3={r3}, r1={r1}")
     if not r1 * ez > r2 * params.k:

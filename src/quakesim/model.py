@@ -24,7 +24,7 @@ has a default.  Each variant class carries its own formulas:
          invert(x, c, e)       the wait T > 0 with hazard(x, c, T) = e > 0
          invert_many(x, c, e)  the same for an array of e
          quiet_level(c, v0)    largest x with hazard(x, c, v0) <= log 2
-    Z    draw(rng)             one drop; draws(rng, n): an array of n
+    Z    draws(rng, n)         an array of n drops
          expectation()         E[Z]
          tail_mean_above(x0)   E[(Z - x0)^+]
          density_floor()       (z1, z2, h), density >= h on [z1, z2]; None
@@ -274,9 +274,6 @@ class ExponentialZ:
         if not 0 < self.mean < _INF:
             raise ValueError(f"mean must be finite and > 0, got {self.mean}")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.mean * rng.standard_exponential()
-
     def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean * rng.standard_exponential(n)
 
@@ -306,9 +303,6 @@ class UniformZ:
         if not self.low < self.high < _INF:
             raise ValueError(f"need finite high > low, got [{self.low}, {self.high}]")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return rng.uniform(self.low, self.high)
-
     def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
 
@@ -335,9 +329,6 @@ class DeterministicZ:
     def __post_init__(self) -> None:
         if not 0 < self.value < _INF:
             raise ValueError(f"value must be finite and > 0, got {self.value}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
 
     def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
@@ -443,7 +434,9 @@ class FosterConfig:
         return self.x1 <= x <= self.x0 and 0.0 <= y <= self.y0
 
 
-class Regime(enum.Enum):
+class Regime(str, enum.Enum):
+    """A str, so `json.dumps` writes a member as its value."""
+
     SUBCRITICAL = "subcritical"
     CRITICAL = "critical"
     SUPERCRITICAL = "supercritical"

@@ -86,7 +86,7 @@ def simulate_thinning(
                         f"thinning bound violated: lambda={lam_c} > bound={bound}"
                     )
                 if rng.random() * bound <= lam_c:
-                    z = params.z.draw(rng)
+                    z = params.z.draws(rng, 1).item()
                     t = t + s
                     x = xc - z
                     y = yc + k

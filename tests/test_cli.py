@@ -343,6 +343,8 @@ class TestSimulateCommand:
         out = tmp_path / "events.csv"
         code = run_command(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
+        # saturation at the first step leaves an empty log: the header alone
+        assert out.read_text() == "n,t,dt,kind,x,y,z,lambda_pre\n"
 
     def test_drop_beyond_float_range_exit_one(self, tmp_path, capsys):
         # the first drop leaves the float range whatever the draws (see

@@ -91,9 +91,11 @@ class TestConstruction:
         assert calls == {"primary_times_from_exponentials": 1, "secondary_times_from_uniforms": 1}
 
     def test_supercritical_rejected(self):
-        p = ModelParams(1.0, 2.0, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
-        with pytest.raises(WeightConstraintError, match="subcritical"):
-            foster_params(p, 100.0, 10.0, 1.0, np.random.default_rng(201))
+        # k/alpha = 1 - 1e-13 is critical to `regime`, so the weights are not blamed
+        for k in (2.0, 1.0 - 1e-13):
+            p = ModelParams(1.0, k, 1.0, ExponentialPhi(1.0), ExponentialZ(2.0))
+            with pytest.raises(WeightConstraintError, match="subcritical"):
+                foster_params(p, 100.0, 10.0, 1.0, np.random.default_rng(201))
 
     def test_infeasible_weights_raise(self, ref_config):
         # r1 so large that v0 ~ exp(r1*c/gamma) cannot fit in float64

@@ -218,7 +218,7 @@ class TestCumulativeHazard:
 class TestZ:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        assert DeterministicZ(2.0).draw(rng) == 2.0
+        assert DeterministicZ(2.0).draws(rng, 3).tolist() == [2.0, 2.0, 2.0]
 
     def test_exponential_mean_lln(self):
         rng = np.random.default_rng(2)
@@ -231,14 +231,6 @@ class TestZ:
         draws = UniformZ(1.0, 3.0).draws(rng, 1_000_000)
         assert abs(float(np.mean(draws)) - 2.0) < 0.01
         assert np.all(draws > 0.0)
-
-    def test_scalar_matches_batch_law(self):
-        rng = np.random.default_rng(4)
-        scalars = np.array([ExponentialZ(2.0).draw(rng) for _ in range(20_000)])
-        batch = ExponentialZ(2.0).draws(np.random.default_rng(5), 20_000)
-        from scipy.stats import ks_2samp
-
-        assert ks_2samp(scalars, batch).pvalue > 1e-4
 
     def test_means(self):
         assert ExponentialZ(2.0).expectation() == 2.0

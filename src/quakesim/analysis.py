@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import EARLY_STOPS, EventLog, StopRule, simulate, state_at, window_integrals
+# state_at is not called here: it stays imported for the benchmark tracer's
+# ("quakesim.analysis", "state_at") row, which looks it up in this module
+from .chain import EARLY_STOPS, EventLog, StopRule, simulate, simulate_states, state_at, window_integrals
 from .model import ModelParams, Regime, State, regime, sample_primary_times, sample_secondary_times
 from .stats import batch_se, dominance_violation, ks_critical_value, ks_two_sample, one_sided_band
 
@@ -198,10 +200,15 @@ def convergence_diagnostic(
     """Two-chain convergence check: KS distance per coordinate over time.
 
     Runs `replications` independent natural trajectories from each initial
-    state, reconstructs (X(t), Y(t)) at each grid time, and compares the
-    two per-coordinate samples with the two-sample KS distance against the
-    critical value at level _LEVEL.  Small distances at late times are the
-    observable footprint of convergence to a common stationary law.
+    state as the lockstep lanes of `simulate_states`, one call per side:
+    the chains from `init_a` read children 0..R-1 of `rng.spawn(2R)`, those
+    from `init_b` children R..2R-1.  It takes (X(t), Y(t)) at each grid
+    time and compares the two per-coordinate samples with the two-sample
+    KS distance against the critical value at level _LEVEL.  The KS
+    distances depend only on how the samples order, so the lanes' rounding
+    differences from scalar `simulate` do not reach them.  Small distances
+    at late times are the observable footprint of convergence to a common
+    stationary law.
     Replication counts whose critical value is >= 1 are refused, since no
     distance could then exceed it.  So is any run in which a chain stops
     early (InsufficientDataError): it has no state at later grid times.
@@ -225,26 +232,11 @@ def convergence_diagnostic(
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t_grid times must be finite and >= 0, got {t}")
     t_max = grid[-1]
-    stop = StopRule(horizon=t_max if t_max > 0 else 1.0)
-    # allocate before spawning: numpy refuses a sample too large for memory
-    # at once, where spawning one generator per replication would not
-    shape = (replications, len(grid))
-    samples = {label: (np.empty(shape), np.empty(shape)) for label in "ab"}
-    children = rng.spawn(2 * replications)
-    stops = []  # (stop time, reason) of each chain that stopped early
-    for (xs, ys), init, chunk in (
-        (samples["a"], init_a, children[:replications]),
-        (samples["b"], init_b, children[replications:]),
-    ):
-        for i, child in enumerate(chunk):
-            log = simulate(params, init, stop, child)
-            if log.terminated_reason in EARLY_STOPS:
-                stops.append((log.horizon, log.terminated_reason))
-                continue
-            for j, t in enumerate(grid):
-                s = state_at(log, t)
-                xs[i, j] = s.x
-                ys[i, j] = s.y
+    horizon = t_max if t_max > 0 else 1.0
+    # side a reads children 0..R-1 of rng, side b children R..2R-1
+    xs_a, ys_a, stops = simulate_states(params, init_a, grid, horizon, rng, replications)
+    xs_b, ys_b, stops_b = simulate_states(params, init_b, grid, horizon, rng, replications)
+    stops += stops_b
     if stops:
         when, reason = min(stops)
         raise InsufficientDataError(
@@ -253,8 +245,8 @@ def convergence_diagnostic(
         )
     points = []
     for j, t in enumerate(grid):
-        ks_x = ks_two_sample(samples["a"][0][:, j], samples["b"][0][:, j])
-        ks_y = ks_two_sample(samples["a"][1][:, j], samples["b"][1][:, j])
+        ks_x = ks_two_sample(xs_a[:, j], xs_b[:, j])
+        ks_y = ks_two_sample(ys_a[:, j], ys_b[:, j])
         points.append(ConvergencePoint(t, ks_x, ks_y, thr))
     return ConvergenceReport(tuple(points), replications, _LEVEL, cz_missing)
 

@@ -25,6 +25,14 @@ equal its scalar draws, so the columns do not depend on the block size.
 A trajectory is an `EventLog` of columns, one float64 array per field
 and a boolean event mask.
 
+`simulate_states` runs many natural trajectories from one state in
+lockstep, as the lanes of numpy arrays, and keeps only their states at
+given times (the chains of `analysis.convergence_diagnostic`).  Lane i
+reads the three streams of the i-th child of its generator, in blocks of
+its own, so it is the trajectory `simulate` makes on that child.  Its
+clocks use numpy's exp and log, which may differ from `math`'s in the last
+bit, so the two agree to rounding, not bit for bit.
+
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
 tail segment between the last event and the horizon.
@@ -37,7 +45,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +58,9 @@ from .model import (
     intensity_saturated,
     phi_eval,
     primary_time_from_exponential,
+    primary_times_from_exponentials,
     secondary_time_from_uniform,
+    secondary_times_from_uniforms,
 )
 
 __all__ = [
@@ -61,6 +71,7 @@ __all__ = [
     "sample_interevent",
     "step",
     "simulate",
+    "simulate_states",
     "flow",
     "state_at",
     "window_integrals",
@@ -76,6 +87,14 @@ FLOAT_COLUMNS = ("t", "dt", "x", "y", "z", "lambda_pre")
 # events) reads one block per stream; on replicas' runs of about 1e4
 # events, larger blocks measured within about 1%.
 _BLOCK = 256
+
+# lanes stepped together by `simulate_states`, and values per block of each
+# lane's draw buffers.  A chunk's streams and buffers (about 4 KB a lane)
+# are released before the next chunk is spawned, which bounds the memory of
+# converge's 2x500 lanes: on its benchmark, chunks of 125 kept the peak RSS
+# of the scalar loop; chunks of 250 took 18% less time but added 0.7 MB.
+_LANES = 125
+_LANE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -350,6 +369,145 @@ def simulate(
     # the log's columns share the grown buffers, they are not copied
     columns = [np.frombuffer(col, dtype=np.float64) for col in floats]
     return EventLog(params, initial, end, reason, *columns, np.frombuffer(mask, dtype=np.bool_))
+
+
+def simulate_states(
+    params: ModelParams,
+    initial: State,
+    times: Sequence[float],
+    horizon: float,
+    rng: np.random.Generator,
+    lanes: int,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[float, str]]]:
+    """The states at `times` of `lanes` natural trajectories from `initial`
+    to `horizon`, stepped together as numpy arrays.
+
+    Lane i is the trajectory `simulate(params, initial,
+    StopRule(horizon=horizon), children[i])` for `children =
+    rng.spawn(lanes)`: it reads the streams of `children[i].spawn(3)`, each
+    in order, so its values do not depend on `lanes`, on the chunks of
+    _LANES lanes (spawned chunk by chunk, which gives the same keys in the
+    same order) or on which lanes are still running.  The waits come from
+    the array inversions of `model`, whose numpy exp and log may differ
+    from `math`'s in the last bit, so a lane agrees with `simulate` and
+    `state_at` to rounding, not bit for bit.
+
+    Returns (x, y, stops).  x[i, j], y[i, j] is lane i's state at times[j],
+    as `state_at` reconstructs it: the last transition at or before that
+    time, flowed to it.  `stops` holds the (stop time, reason) of each lane
+    that stopped early, in lane order, with a reason of EARLY_STOPS; the
+    rows of those lanes are NaN.  A state that leaves the float range
+    raises the ValueError of `State`, for the first such lane.  `times`
+    must be sorted and within [0, horizon].
+    """
+    StopRule(horizon=horizon)  # validates the horizon
+    grid = np.array(times, dtype=float)
+    if grid.ndim != 1 or not (np.all(grid[1:] >= grid[:-1]) and np.all((0.0 <= grid) & (grid <= horizon))):
+        raise ValueError(f"times must be sorted and within [0, {horizon}]")
+    # allocate first: numpy refuses a sample too large for memory before
+    # any lane runs
+    xs = np.empty((lanes, grid.size))
+    ys = np.empty((lanes, grid.size))
+    stops: list[tuple[float, str]] = []
+    for start in range(0, lanes, _LANES):
+        chunk = slice(start, min(start + _LANES, lanes))
+        stops += _step_lanes(params, initial, grid, horizon, rng, xs[chunk], ys[chunk])
+    return xs, ys, stops
+
+
+def _step_lanes(
+    params: ModelParams,
+    initial: State,
+    grid: np.ndarray,
+    horizon: float,
+    rng: np.random.Generator,
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> list[tuple[float, str]]:
+    """Run one chunk of `simulate_states`, one lane per row of xs and ys:
+    lane r reads the (E, U, Z) streams of the r-th child of `rng` spawned
+    here, and fills xs[r], ys[r].  Each step makes, for every live lane,
+    the checks of `simulate`'s loop in its order: saturation, the
+    transition (with the kernel's float-range check), the horizon, the
+    float resolution of the clock.  The streams and buffers are released
+    on return."""
+    phi, c, k, alpha, cap, law = params.phi, params.c, params.k, params.alpha, params.intensity_cap, params.z
+    n = len(xs)
+    # the streams of `child.spawn(3)` for each child of `rng.spawn(n)`, made
+    # from the seed sequences as `Generator.spawn` makes them; nothing draws
+    # from the children themselves, so their generators are not built
+    make_bits, make_rng = type(rng.bit_generator), type(rng)
+    streams = [[make_rng(make_bits(key)) for key in child.spawn(3)] for child in rng.bit_generator.seed_seq.spawn(n)]
+    # draws[j, :, r] is the E, U and Z of lane r's step j of the block of
+    # _LANE_BLOCK steps; a step reads one contiguous row per variate
+    draws = np.empty((_LANE_BLOCK, 3, n))
+    ends = np.append(grid, math.inf)  # a sentinel past every time
+    row = np.arange(n)  # the chunk row of each live lane
+    t = np.zeros(n)
+    x = np.full(n, initial.x)
+    y = np.full(n, initial.y)
+    nxt = np.zeros(n, dtype=np.intp)  # index of each live lane's first time not yet recorded
+    due = np.full(n, ends[0])  # and that time
+    stopped: dict[int, tuple[float, str]] = {}
+    refused: dict[int, tuple[float, float]] = {}  # rows whose state left the float range
+    steps = 0
+    # float overflow and inf - inf are left to the range check, as Python
+    # floats leave them to it in the scalar kernel
+    with np.errstate(over="ignore", invalid="ignore"):
+        while row.size:
+            saturated = phi.at(x) + y >= cap
+            if saturated.any():
+                stopped.update(zip(row[saturated].tolist(), ((when, "saturation") for when in t[saturated].tolist())))
+                live = ~saturated
+                row, t, x, y, nxt, due = row[live], t[live], x[live], y[live], nxt[live], due[live]
+                if not row.size:
+                    break
+            j = steps % _LANE_BLOCK
+            if j == 0:
+                for r in row.tolist():
+                    e_rng, u_rng, z_rng = streams[r]
+                    draws[:, 0, r] = e_rng.standard_exponential(_LANE_BLOCK)
+                    draws[:, 1, r] = u_rng.random(_LANE_BLOCK)
+                    draws[:, 2, r] = law.draws(z_rng, _LANE_BLOCK)
+            steps += 1
+            e, u, z = draws[j][:, row]
+            t1 = primary_times_from_exponentials(phi, x, c, e)
+            t2 = secondary_times_from_uniforms(y, alpha, u)
+            dt = np.where(t1 <= t2, t1, t2)
+            x_new = x + c * dt - z
+            y_new = y * np.exp(-alpha * dt) + k
+            t_new = t + dt
+            # record each time before this transition from the state before
+            # it; a lane past the horizon records all of its remaining times
+            i = (due < t_new).nonzero()[0]
+            while i.size:
+                d = due[i] - t[i]
+                xs[row[i], nxt[i]] = x[i] + c * d
+                ys[row[i], nxt[i]] = y[i] * np.exp(-alpha * d)
+                nxt[i] += 1
+                due[i] = ends[nxt[i]]
+                i = i[due[i] < t_new[i]]
+            # y, the decay and k are >= 0, so y_new is >= 0 unless NaN, and
+            # the kernel's range check comes to both being finite
+            fine = np.isfinite(x_new) & np.isfinite(y_new)
+            stay = fine & (t < t_new) & (t_new <= horizon)
+            if stay.all():
+                t, x, y = t_new, x_new, y_new
+                continue
+            wild = ~fine
+            refused.update(zip(row[wild].tolist(), zip(x_new[wild].tolist(), y_new[wild].tolist())))
+            flat = fine & (t_new == t)
+            stopped.update(zip(row[flat].tolist(), ((when, "time_resolution") for when in t[flat].tolist())))
+            row, t, x, y, nxt, due = row[stay], t_new[stay], x_new[stay], y_new[stay], nxt[stay], due[stay]
+    # a recorded state needs no range check of its own: its stress x + c*d
+    # (d < dt) is at most the stress x + c*dt before the next drop, and a
+    # step whose stress overflowed there was refused
+    if refused:
+        State(*refused[min(refused)])  # raises, as the kernel does
+    rows = sorted(stopped)
+    xs[rows] = math.nan
+    ys[rows] = math.nan
+    return [stopped[r] for r in rows]
 
 
 def window_integrals(log: EventLog, a: float, b: float) -> tuple[int, float, float]:

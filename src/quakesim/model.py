@@ -22,7 +22,7 @@ has a default.  Each variant class carries its own formulas:
     phi  at(x)                 phi(x), x a float (math only) or an array
          hazard(x, c, t)       integral of phi(x + c*v) over [0, t], arrays
          invert(x, c, e)       the wait T > 0 with hazard(x, c, T) = e > 0
-         invert_many(x, c, e)  the same for an array of e
+         invert_many(x, c, e)  the same for arrays of x and e, broadcast
          quiet_level(c, v0)    largest x with hazard(x, c, v0) <= log 2
     Z    draws(rng, n)         an array of n drops
          expectation()         E[Z]
@@ -47,7 +47,8 @@ written in `chain`):
 Each clock is sampled exactly by inverting its cumulative hazard against a
 unit exponential or a uniform (no discretisation, no rejection).  The
 scalar inversions serve the event loop; the ``*_times`` batch versions draw
-numpy arrays for Monte Carlo work through the same ``*_from_*`` transforms.
+numpy arrays for Monte Carlo work through the same ``*_from_*`` transforms,
+which also take arrays of states (the lockstep lanes in `chain`).
 `expected_wait` integrates the product of the two public survivals,
 `primary_survival` and `secondary_survival`, to E[min(T1, T2)] by
 deterministic quadrature.
@@ -192,7 +193,7 @@ class ExponentialPhi:
             t = math.log1p(math.exp(w)) / sc
         return t if t > 0.0 else _TINY
 
-    def invert_many(self, x: float, c: float, e: np.ndarray) -> np.ndarray:
+    def invert_many(self, x, c: float, e: np.ndarray) -> np.ndarray:
         s = self.scale
         sc = s * c
         w = np.log(sc * e) - s * x
@@ -249,12 +250,21 @@ class ThresholdLinearPhi:
             t = -a / c + math.sqrt(2.0 * e / (m * c))
         return t if t > 0.0 else _TINY
 
-    def invert_many(self, x: float, c: float, e: np.ndarray) -> np.ndarray:
+    def invert_many(self, x, c: float, e: np.ndarray) -> np.ndarray:
         m = self.slope
-        a = x - self.theta
-        if a >= 0.0:
-            return np.maximum(2.0 * (e / m) / (a + np.sqrt(a * a + 2.0 * c * e / m)), _TINY)
-        return np.maximum(-a / c + np.sqrt(2.0 * e / (m * c)), _TINY)
+        a = np.subtract(x, self.theta)
+        # numpy evaluates both branches everywhere, so each sees the stress
+        # on its own side of the threshold only (the others clamped to it):
+        # the branch that is not selected then neither overflows nor divides
+        # by zero.  Overflow in the selected one gives inf, as in `invert`
+        above, below = np.maximum(a, 0.0), np.minimum(a, 0.0)
+        with np.errstate(over="ignore"):
+            t = np.where(
+                a >= 0.0,
+                2.0 * (e / m) / (above + np.sqrt(above * above + 2.0 * c * e / m)),
+                -below / c + np.sqrt(2.0 * e / (m * c)),
+            )
+        return np.maximum(t, _TINY)
 
     def quiet_level(self, c: float, v0: float) -> float:
         # zero hazard on the whole window
@@ -525,9 +535,10 @@ def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Genera
     return primary_times_from_exponentials(phi, x, c, rng.standard_exponential(n))
 
 
-def primary_times_from_exponentials(phi: PhiSpec, x: float, c: float, e: np.ndarray) -> np.ndarray:
+def primary_times_from_exponentials(phi: PhiSpec, x, c: float, e: np.ndarray) -> np.ndarray:
     """Vectorised primary inversion applied to given unit exponentials
-    (`phi.invert_many`)."""
+    (`phi.invert_many`); `x` is a float or an array of stresses that
+    broadcasts against `e`."""
     e = np.maximum(np.asarray(e, dtype=float), _TINY)
     return phi.invert_many(x, c, e)
 
@@ -541,17 +552,17 @@ def sample_secondary_times(y: float, alpha: float, rng: np.random.Generator, n: 
     return secondary_times_from_uniforms(y, alpha, rng.random(n))
 
 
-def secondary_times_from_uniforms(y: float, alpha: float, u: np.ndarray) -> np.ndarray:
+def secondary_times_from_uniforms(y, alpha: float, u: np.ndarray) -> np.ndarray:
     """Vectorised secondary inversion applied to given uniforms, by the
-    formula of `secondary_time_from_uniform`."""
+    formula of `secondary_time_from_uniform`; `y` is a float or an array of
+    residuals that broadcasts against `u`."""
     u = np.maximum(np.asarray(u, dtype=float), _TINY)
-    out = np.full(u.shape, np.inf)
-    if y <= 0.0:
-        return out
-    a = (alpha / y) * np.log(u)
-    fires = a > -1.0
-    out[fires] = np.maximum(-np.log1p(a[fires]) / alpha, _TINY)
-    return out
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a zero residual, or a draw in the never-fires atom (a <= -1 or
+        # NaN), takes a = -1, whose wait -log1p(-1)/alpha is inf
+        a = np.where(y > 0.0, np.fmax((alpha / y) * np.log(u), -1.0), -1.0)
+        return np.maximum(-np.log1p(a) / alpha, _TINY)
 
 
 def primary_survival(phi: PhiSpec, x: float, c: float, t) -> float | np.ndarray:

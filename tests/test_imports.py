@@ -245,6 +245,7 @@ def test_document_guard_sees_each_kind(tmp_path):
 UNREAD_BY_DESIGN = (
     ("simulate_thinning", "independent thinning oracle the chain tests compare logs with"),
     ("return_times", "library probe of hitting times of V, documented in the README"),
+    ("state_at", "library reconstruction of a log's state, documented in the README; the lane-replay oracle"),
 )
 
 

@@ -234,6 +234,44 @@ class TestSecondaryInversion:
                 sample_secondary_times(1.0, alpha, rng, 10)
 
 
+class TestArraysOfStates:
+    """The batch inversions broadcast over arrays of states, as the lockstep
+    lanes of `chain.simulate_states` call them, and agree with the scalar
+    inversions of the event loop at extreme states too (the lanes may not
+    warn: any RuntimeWarning fails the suite)."""
+
+    # waits below the normal range (2.2e-308) carry an absolute rounding of
+    # a few 5e-324 divided by s*c
+    _SUBNORMAL = 1e-320
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        phi=_PHIS,
+        c=_C,
+        pairs=st.lists(st.tuples(st.sampled_from([-4e304, -1e6, -65.0, 0.0, 700.0]), _E), min_size=1, max_size=8),
+    )
+    def test_primary_waits_of_an_array_of_stresses(self, phi, c, pairs):
+        x, e = (np.array(column) for column in zip(*pairs))
+        got = primary_times_from_exponentials(phi, x, c, e)
+        want = [primary_time_from_exponential(phi, xi, c, ei) for xi, ei in pairs]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=self._SUBNORMAL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 3.0),
+        pairs=st.lists(
+            st.tuples(st.sampled_from([0.0, 1e-300, 1e10, 1e300]), st.floats(0.0, 1.0, exclude_max=True)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_secondary_waits_of_an_array_of_residuals(self, alpha, pairs):
+        y, u = (np.array(column) for column in zip(*pairs))
+        got = secondary_times_from_uniforms(y, alpha, u)
+        want = [secondary_time_from_uniform(yi, alpha, ui) for yi, ui in pairs]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=self._SUBNORMAL)
+
+
 def _exp_phi_mean_wait(s, c, x):
     """E[T1(x)] for phi = exp(s*x): e^a*E1(a)/(s*c) with a = e^{s*x}/(s*c),
     by its asymptotic series where e^a overflows."""

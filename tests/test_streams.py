@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import quakesim.chain
 from quakesim import ExponentialPhi, ExponentialZ, ModelParams, State, StopRule, master, simulate, substream
 from quakesim.cli import run_command
 
@@ -88,3 +89,21 @@ def test_simulate_spawns_the_roots_of_the_first_substreams(monkeypatch):
     keys = _Recorded.keys
     assert keys[:4] == [(7, ()), (7, (0,)), (7, (1,)), (7, (2,))]
     assert keys[4:] == keys[1:4]
+
+
+def test_converge_reads_the_keys_of_one_trajectory_per_chain(tmp_path, monkeypatch):
+    # converge runs on substream(seed, 0): the lanes of side a read its
+    # children 0..R-1 and those of side b children R..2R-1, each child's
+    # three streams in order, as one `simulate` per chain did; R spans more
+    # than one chunk of lanes
+    replications = quakesim.chain._LANES + 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"model": _REF_MODEL, "initial": {"x": 0.0, "y": 0.0}, "seed": 42, "stop": {"horizon": 50.0}})
+    )
+    monkeypatch.setattr(np.random, "PCG64", _Recorded)
+    monkeypatch.setattr(_Recorded, "keys", [])
+    argv = ["converge", "--config", str(cfg), "--t-grid", "0.5,1", "--replications", str(replications)]
+    assert run_command([*argv, "--out", str(tmp_path / "ks.csv")]) == 0
+    streams = [key for key in _Recorded.keys if len(key[1]) == 3]
+    assert streams == [(42, (0, i, j)) for i in range(2 * replications) for j in range(3)]

@@ -40,6 +40,7 @@ tail segment between the last event and the horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from array import array
@@ -57,7 +58,6 @@ from .model import (
     cumulative_hazard_primary,
     intensity_saturated,
     phi_eval,
-    primary_time_from_exponential,
     primary_times_from_exponentials,
     secondary_time_from_uniform,
     secondary_times_from_uniforms,
@@ -89,12 +89,25 @@ FLOAT_COLUMNS = ("t", "dt", "x", "y", "z", "lambda_pre")
 _BLOCK = 256
 
 # lanes stepped together by `simulate_states`, and values per block of each
-# lane's draw buffers.  A chunk's streams and buffers (about 4 KB a lane)
-# are released before the next chunk is spawned, which bounds the memory of
-# converge's 2x500 lanes: on its benchmark, chunks of 125 kept the peak RSS
-# of the scalar loop; chunks of 250 took 18% less time but added 0.7 MB.
-_LANES = 125
-_LANE_BLOCK = 64
+# lane's draw buffers.  A chunk steps until its longest lane ends, so wider
+# chunks take fewer steps; a chunk's streams (about 2.7 KB a lane) and draw
+# buffer (24*_LANE_BLOCK bytes a lane) are released before the next chunk is
+# spawned.  On converge's benchmark (2x500 lanes of about 105 transitions,
+# 2 vCPUs): time per operation against chunks of 125 in blocks of 64 (paired
+# median of 21 in-process rounds), and the benchmark's peak RSS:
+#
+#   lanes x block   time    peak RSS
+#   125 x 64        1.00    37.96 MB
+#   250 x 16        0.98    38.00 MB   the per-lane refills dominate
+#   250 x 32        0.87    38.12 MB   the buffer bytes of 125 x 64
+#   250 x 64        0.82    38.28 MB
+#   500 x 16        0.89    38.79 MB
+#   500 x 32        0.77    38.94 MB
+#
+# 250 x 32 halves the steps and adds only the streams of 125 more lanes;
+# the faster settings also add buffer bytes or the streams of more lanes.
+_LANES = 250
+_LANE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -203,20 +216,26 @@ def sample_interevent(params: ModelParams, state: State, e: float, u: float) -> 
     The primary clock is finite with probability one, so the result is
     always finite.
     """
-    t1 = primary_time_from_exponential(params.phi, state.x, params.c, e)
+    t1 = params.phi.invert(state.x, params.c, e)
     t2 = secondary_time_from_uniform(state.y, params.alpha, u)
     return t1 if t1 <= t2 else t2
 
 
-def _stream(block: Callable[[int], np.ndarray]) -> Iterator[float]:
-    """The values of `block(_BLOCK)` calls, one at a time.  Overflow to inf
-    is left to the kernel's range check, which refuses it without a numpy
-    warning.  A block's list of floats is dropped before the next block is
-    drawn."""
+def _blocks(block: Callable[[int], np.ndarray]) -> Iterator[list[float]]:
+    """The values of `block(_BLOCK)` calls, as one list per call.  Overflow
+    to inf is left to the kernel's range check, which refuses it without a
+    numpy warning."""
     while True:
         with np.errstate(over="ignore"):
             values = block(_BLOCK)
-        yield from values.tolist()
+        yield values.tolist()
+
+
+def _stream(block: Callable[[int], np.ndarray]) -> Callable[[], float]:
+    """The next value of the stream of `block` calls.  Chaining the lists
+    steps through them in C; a block's list is dropped before the next
+    block is drawn."""
+    return itertools.chain.from_iterable(_blocks(block)).__next__
 
 
 class Draws:
@@ -234,9 +253,9 @@ class Draws:
     def __init__(self, rng: np.random.Generator, z: ZSpec) -> None:
         e_rng, u_rng, z_rng = rng.spawn(3)
         self.law = z
-        self.e = _stream(e_rng.standard_exponential).__next__
-        self.u = _stream(u_rng.random).__next__
-        self.z = _stream(lambda n: z.draws(z_rng, n)).__next__
+        self.e = _stream(e_rng.standard_exponential)
+        self.u = _stream(u_rng.random)
+        self.z = _stream(lambda n: z.draws(z_rng, n))
 
 
 class _Position:
@@ -470,7 +489,9 @@ def _step_lanes(
                     draws[:, 1, r] = u_rng.random(_LANE_BLOCK)
                     draws[:, 2, r] = law.draws(z_rng, _LANE_BLOCK)
             steps += 1
-            e, u, z = draws[j][:, row]
+            # rows only leave, so while all n run they are the chunk's rows
+            # in order and the step reads its draws as a view
+            e, u, z = draws[j] if row.size == n else draws[j][:, row]
             t1 = primary_times_from_exponentials(phi, x, c, e)
             t2 = secondary_times_from_uniforms(y, alpha, u)
             dt = np.where(t1 <= t2, t1, t2)
@@ -520,6 +541,10 @@ def window_integrals(log: EventLog, a: float, b: float) -> tuple[int, float, flo
         raise ValueError(f"window [{a}, {b}] outside [0, {log.horizon}]")
     p = log.params
     t0, x0, y0, t1 = log._segments
+    # both edges are sorted, so the segments that end after a and start
+    # before b are one slice; the others clip to an empty piece
+    cut = slice(np.searchsorted(t1, a, side="right"), np.searchsorted(t0, b, side="left"))
+    t0, x0, y0, t1 = t0[cut], x0[cut], y0[cut], t1[cut]
     lo = np.clip(t0, a, b)
     hi = np.clip(t1, a, b)
     live = hi > lo

@@ -21,7 +21,8 @@ has a default.  Each variant class carries its own formulas:
 
     phi  at(x)                 phi(x), x a float (math only) or an array
          hazard(x, c, t)       integral of phi(x + c*v) over [0, t], arrays
-         invert(x, c, e)       the wait T > 0 with hazard(x, c, T) = e > 0
+         invert(x, c, e)       the wait T > 0 with hazard(x, c, T) = e, an
+                               e <= 0 floored to the smallest positive float
          invert_many(x, c, e)  the same for arrays of x and e, broadcast
          quiet_level(c, v0)    largest x with hazard(x, c, v0) <= log 2
     Z    draws(rng, n)         an array of n drops
@@ -182,7 +183,12 @@ class ExponentialPhi:
     def invert(self, x: float, c: float, e: float) -> float:
         s = self.scale
         sc = s * c
-        w = math.log(sc * e) - s * x
+        if e <= 0.0:
+            e = _TINY
+        p = sc * e
+        # for sc <= 0.5, sc*e rounds to 0 near the floor; its log is then
+        # the sum of the two logs
+        w = (math.log(p) if p > 0.0 else math.log(sc) + math.log(e)) - s * x
         if w > 36.0:
             # log1p(exp(w)) = w + log1p(exp(-w)), and exp(-w) < 2.4e-16 is
             # below half an ulp of w (3.6e-15 for w >= 32): w + exp(-w) == w
@@ -196,7 +202,15 @@ class ExponentialPhi:
     def invert_many(self, x, c: float, e: np.ndarray) -> np.ndarray:
         s = self.scale
         sc = s * c
-        w = np.log(sc * e) - s * x
+        e = np.maximum(e, _TINY)
+        p = sc * e
+        # p rounds to 0 for some e >= 5e-324 only where s*c <= 0.5; its log
+        # is then the sum of the two logs, as in `invert`
+        if sc * _TINY > 0.0 or p.all():
+            w = np.log(p) - s * x
+        else:
+            with np.errstate(divide="ignore"):
+                w = np.where(p > 0.0, np.log(p), math.log(sc) + np.log(e)) - s * x
         return np.maximum(np.logaddexp(0.0, w) / sc, _TINY)
 
     def quiet_level(self, c: float, v0: float) -> float:
@@ -242,9 +256,14 @@ class ThresholdLinearPhi:
     def invert(self, x: float, c: float, e: float) -> float:
         m = self.slope
         a = x - self.theta
-        if a >= 0.0:
-            # m*(a*T + c*T^2/2) = e, positive root in cancellation-free form
-            t = 2.0 * (e / m) / (a + math.sqrt(a * a + 2.0 * c * e / m))
+        if e <= 0.0:
+            e = _TINY
+        # m*(a*T + c*T^2/2) = e, positive root in cancellation-free form;
+        # its denominator is 0 only at the threshold with 2*c*e/m rounded
+        # to 0, where the ramp formula below is its limit
+        d = a + math.sqrt(a * a + 2.0 * c * e / m) if a >= 0.0 else 0.0
+        if d > 0.0:
+            t = 2.0 * (e / m) / d
         else:
             # zero hazard until the ramp reaches the threshold at (theta-x)/c
             t = -a / c + math.sqrt(2.0 * e / (m * c))
@@ -253,17 +272,16 @@ class ThresholdLinearPhi:
     def invert_many(self, x, c: float, e: np.ndarray) -> np.ndarray:
         m = self.slope
         a = np.subtract(x, self.theta)
+        e = np.maximum(e, _TINY)
         # numpy evaluates both branches everywhere, so each sees the stress
         # on its own side of the threshold only (the others clamped to it):
-        # the branch that is not selected then neither overflows nor divides
-        # by zero.  Overflow in the selected one gives inf, as in `invert`
+        # the branch that is not selected then does not overflow.  A zero
+        # denominator of the root takes the ramp formula, as in `invert`;
+        # overflow in the selected branch gives inf
         above, below = np.maximum(a, 0.0), np.minimum(a, 0.0)
-        with np.errstate(over="ignore"):
-            t = np.where(
-                a >= 0.0,
-                2.0 * (e / m) / (above + np.sqrt(above * above + 2.0 * c * e / m)),
-                -below / c + np.sqrt(2.0 * e / (m * c)),
-            )
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = above + np.sqrt(above * above + 2.0 * c * e / m)
+            t = np.where((a >= 0.0) & (d > 0.0), 2.0 * (e / m) / d, -below / c + np.sqrt(2.0 * e / (m * c)))
         return np.maximum(t, _TINY)
 
     def quiet_level(self, c: float, v0: float) -> float:
@@ -497,15 +515,13 @@ def cumulative_hazard_primary(phi: PhiSpec, x, c: float, t) -> float | np.ndarra
 
 def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) -> float:
     """Solve (cumulative primary hazard from x)(T) = e for T, scalar
-    (`phi.invert`, with e <= 0 floored to the smallest positive float).
+    (`phi.invert`, which floors e <= 0 to the smallest positive float).
 
     Exponential phi:  T = log(1 + s*c*e*exp(-s*x)) / (s*c), evaluated in
     log space when exp(-s*x) would overflow.  Threshold-linear phi: the
     hazard ramp gives a linear-plus-quadratic equation; below the
     threshold the hazard is zero until the ramp reaches it.
     """
-    if e <= 0.0:
-        e = _TINY
     return phi.invert(x, c, e)
 
 
@@ -537,9 +553,8 @@ def sample_primary_times(phi: PhiSpec, x: float, c: float, rng: np.random.Genera
 
 def primary_times_from_exponentials(phi: PhiSpec, x, c: float, e: np.ndarray) -> np.ndarray:
     """Vectorised primary inversion applied to given unit exponentials
-    (`phi.invert_many`); `x` is a float or an array of stresses that
-    broadcasts against `e`."""
-    e = np.maximum(np.asarray(e, dtype=float), _TINY)
+    (`phi.invert_many`, which floors e <= 0 as `phi.invert` does); `x` is a
+    float or an array of stresses that broadcasts against `e`."""
     return phi.invert_many(x, c, e)
 
 

@@ -4,17 +4,21 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakesim import (
     DeterministicZ,
     Draws,
     EventLog,
+    ExponentialPhi,
     ExponentialZ,
     FosterConfig,
     ModelParams,
     State,
     StopRule,
     ThresholdLinearPhi,
+    cumulative_hazard_primary,
     estimate_rates,
     flow,
     foster_params,
@@ -266,6 +270,25 @@ def _manual_log(params, initial, events, horizon, reason="horizon_reached"):
     return EventLog(params, initial, horizon, reason, *columns, np.ones(len(events), dtype=bool))
 
 
+def _window_integrals_of_every_segment(log, a, b):
+    """`window_integrals` clipping every segment of the log to [a, b], the
+    ones outside it included."""
+    p = log.params
+    t0 = np.concatenate(([0.0], log.t))
+    x0 = np.concatenate(([log.initial.x], log.x))
+    y0 = np.concatenate(([log.initial.y], log.y))
+    t1 = np.append(log.t, max(log.horizon, log.t[-1] if log.t.size else 0.0))
+    lo, hi = np.clip(t0, a, b), np.clip(t1, a, b)
+    live = hi > lo
+    lo, hi, t0, x0, y0 = lo[live], hi[live], t0[live], x0[live], y0[live]
+    int_y = float(np.sum(y0 * (np.exp(-p.alpha * (lo - t0)) - np.exp(-p.alpha * (hi - t0)))) / p.alpha)
+    int_phi = float(
+        np.sum(cumulative_hazard_primary(p.phi, x0, p.c, hi - t0) - cumulative_hazard_primary(p.phi, x0, p.c, lo - t0))
+    )
+    times = log.event_times
+    return int(np.searchsorted(times, b, side="right") - np.searchsorted(times, a, side="right")), int_y, int_phi
+
+
 class TestIntegrals:
     def test_single_segment_y(self, ref_params):
         # integral of e^{-t} over [0, log 2] is 1/2
@@ -309,6 +332,27 @@ class TestIntegrals:
         assert sum(p[0] for p in parts) == full[0] == log.event_count
         assert sum(p[1] for p in parts) == pytest.approx(full[1], rel=1e-10)
         assert sum(p[2] for p in parts) == pytest.approx(full[2], rel=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phi=st.sampled_from([ExponentialPhi(1.0), ThresholdLinearPhi(0.0, 1.0)]),
+        horizon=st.floats(0.5, 40.0),
+        max_events=st.one_of(st.none(), st.integers(1, 3)),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_window_reads_the_same_bits_as_every_segment(self, phi, horizon, max_events, seed, data):
+        # a budget of 1 gives a one-row log; windows may start or end on an
+        # event time, be empty (a == b) or reach into the tail segment
+        params = ModelParams(1.0, 0.5, 1.0, phi, ExponentialZ(2.0))
+        stop = StopRule(max_events=max_events, horizon=horizon)
+        log = simulate(params, State(0.0, 0.0), stop, master(seed))
+        edges = st.one_of(st.sampled_from([0.0, *log.t.tolist(), log.horizon]), st.floats(0.0, log.horizon))
+        a = data.draw(edges)
+        a, b = sorted((a, data.draw(st.one_of(st.just(a), edges))))
+        got = window_integrals(log, a, b)
+        want = _window_integrals_of_every_segment(log, a, b)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex() and got[2].hex() == want[2].hex()
 
     def test_rate_balance(self, ref_params, origin):
         # events/horizon against the exact intensity integral: the counting

@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -124,6 +125,56 @@ class TestPrimaryInversion:
                 p = primary_survival(phi, x, c, float(t))
                 se = math.sqrt(max(p * (1 - p), 1e-12) / n)
                 assert abs(float(np.mean(draws > t)) - p) <= 3.0 * se + 1e-9
+
+
+# s*c (or slope*c) of 0.3, 1 and 3, with c on both sides of 1: below 0.5
+# the exponential family's s*c*5e-324 rounds to 0, and slope 3 with c = 0.1
+# rounds the threshold-linear root's 2*c*e/m to 0
+_FLOOR_CASES = [
+    (ExponentialPhi(0.3), 1.0),
+    (ExponentialPhi(3.0), 0.1),
+    (ExponentialPhi(1.0), 1.0),
+    (ExponentialPhi(3.0), 1.0),
+    (ThresholdLinearPhi(0.0, 0.3), 1.0),
+    (ThresholdLinearPhi(0.0, 3.0), 0.1),
+    (ThresholdLinearPhi(0.0, 1.0), 1.0),
+    (ThresholdLinearPhi(0.0, 3.0), 1.0),
+]
+
+
+class TestZeroDrawFloor:
+    """A unit exponential of exactly 0 is floored to 5e-324 inside each
+    family's `invert` and `invert_many`: the wait is finite and positive,
+    with no exception and no warning."""
+
+    @pytest.mark.parametrize("phi, c", _FLOOR_CASES)
+    @pytest.mark.parametrize("x", [-1000.0, -5.0, 0.0, 2.0])
+    def test_scalar_and_batch_waits_at_zero(self, phi, c, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = primary_time_from_exponential(phi, x, c, 0.0)
+            batch = primary_times_from_exponentials(phi, np.array([x, x]), c, np.array([0.0, -1.0]))
+        assert 0.0 < t < math.inf
+        assert batch.tolist() == [t, t]
+
+    @pytest.mark.parametrize("s, c", [(0.3, 1.0), (1.0, 1.0), (3.0, 1.0)])
+    def test_exponential_family_keeps_its_bits_where_the_product_is_positive(self, s, c):
+        # the log of the product, as before the floor moved; the sum of logs
+        # only where s*c*e rounds to 0
+        phi = ExponentialPhi(s)
+        for e in (5e-324, 1e-322, 1e-310, 1e-300, 0.5, 7.0):
+            if s * c * e == 0.0:
+                continue
+            w = math.log(s * c * e) - s * -3.0
+            want = math.exp(w) / (s * c) if w < -36.0 else math.log1p(math.exp(w)) / (s * c)
+            assert phi.invert(-3.0, c, e) == want
+            assert phi.invert_many(-3.0, c, np.array([e]))[0] == np.logaddexp(0.0, w) / (s * c)
+
+    def test_exponential_floor_is_the_wait_at_5e_324(self):
+        # s*c*5e-324 rounds to 0, so the wait comes from log(s*c) + log(e):
+        # about e*exp(-s*x)/(s*c) deep below zero stress
+        t = primary_time_from_exponential(ExponentialPhi(0.3), -1000.0, 1.0, 0.0)
+        assert t == pytest.approx(5e-324 * math.exp(300.0) / 0.3, rel=1e-12)
 
 
 # Both phi families.  Exponential scales start at 0.5: near x = 700/s a

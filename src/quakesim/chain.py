@@ -29,9 +29,11 @@ and a boolean event mask.
 lockstep, as the lanes of numpy arrays, and keeps only their states at
 given times (the chains of `analysis.convergence_diagnostic`).  Lane i
 reads the three streams of the i-th child of its generator, in blocks of
-its own, so it is the trajectory `simulate` makes on that child.  Its
-clocks use numpy's exp and log, which may differ from `math`'s in the last
-bit, so the two agree to rounding, not bit for bit.
+its own, so it is the trajectory `simulate` makes on that child.  The
+seeds of a chunk's streams are hashed in one numpy pass, with the keys
+and bits of numpy's `spawn`.  The lanes' clocks use numpy's exp and log,
+which may differ from `math`'s in the last bit, so a lane and `simulate`
+agree to rounding, not bit for bit.
 
 Time integrals of the intensity components over a trajectory are exact:
 each inter-event segment contributes a closed-form piece, including the
@@ -45,7 +47,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -90,7 +92,7 @@ _BLOCK = 256
 
 # lanes stepped together by `simulate_states`, and values per block of each
 # lane's draw buffers.  A chunk steps until its longest lane ends, so wider
-# chunks take fewer steps; a chunk's streams (about 2.7 KB a lane) and draw
+# chunks take fewer steps; a chunk's streams (about 2.3 KB a lane) and draw
 # buffer (24*_LANE_BLOCK bytes a lane) are released before the next chunk is
 # spawned.  On converge's benchmark (2x500 lanes of about 105 transitions,
 # 2 vCPUs): time per operation against chunks of 125 in blocks of 64 (paired
@@ -406,7 +408,10 @@ def simulate_states(
     rng.spawn(lanes)`: it reads the streams of `children[i].spawn(3)`, each
     in order, so its values do not depend on `lanes`, on the chunks of
     _LANES lanes (spawned chunk by chunk, which gives the same keys in the
-    same order) or on which lanes are still running.  The waits come from
+    same order) or on which lanes are still running.  The streams' seeds
+    are hashed in one pass per chunk, bit-equal to numpy's (see
+    `_lane_seeds`), so `rng` must be seeded by a numpy SeedSequence and
+    its count of spawned children must stay below 2**32.  The waits come from
     the array inversions of `model`, whose numpy exp and log may differ
     from `math`'s in the last bit, so a lane agrees with `simulate` and
     `state_at` to rounding, not bit for bit.
@@ -445,18 +450,19 @@ def _step_lanes(
 ) -> list[tuple[float, str]]:
     """Run one chunk of `simulate_states`, one lane per row of xs and ys:
     lane r reads the (E, U, Z) streams of the r-th child of `rng` spawned
-    here, and fills xs[r], ys[r].  Each step makes, for every live lane,
-    the checks of `simulate`'s loop in its order: saturation, the
-    transition (with the kernel's float-range check), the horizon, the
-    float resolution of the clock.  The streams and buffers are released
-    on return."""
+    here, seeded from one hashing pass, and fills xs[r], ys[r].  Each step
+    makes, for every live lane, the checks of `simulate`'s loop in its
+    order: saturation, the transition (with the kernel's float-range
+    check), the horizon, the float resolution of the clock.  The streams
+    and buffers are released on return."""
     phi, c, k, alpha, cap, law = params.phi, params.c, params.k, params.alpha, params.intensity_cap, params.z
     n = len(xs)
-    # the streams of `child.spawn(3)` for each child of `rng.spawn(n)`, made
-    # from the seed sequences as `Generator.spawn` makes them; nothing draws
-    # from the children themselves, so their generators are not built
+    # the streams of `child.spawn(3)` for each child of `rng.spawn(n)`, built
+    # as `Generator.spawn` builds them but from seeds hashed in one pass;
+    # nothing draws from the children themselves, so their generators are
+    # not built
     make_bits, make_rng = type(rng.bit_generator), type(rng)
-    streams = [[make_rng(make_bits(key)) for key in child.spawn(3)] for child in rng.bit_generator.seed_seq.spawn(n)]
+    streams = [[make_rng(make_bits(seed)) for seed in lane] for lane in _lane_seeds(rng.bit_generator.seed_seq, n)]
     # draws[j, :, r] is the E, U and Z of lane r's step j of the block of
     # _LANE_BLOCK steps; a step reads one contiguous row per variate
     draws = np.empty((_LANE_BLOCK, 3, n))
@@ -529,6 +535,141 @@ def _step_lanes(
     xs[rows] = math.nan
     ys[rows] = math.nan
     return [stopped[r] for r in rows]
+
+
+# numpy's SeedSequence hash (NEP 19, after O'Neill 2015, "Developing a
+# seed_seq alternative"), with the constants of numpy/random/bit_generator.pyx.
+# A sequence mixes the words of its entropy and spawn key into a pool of
+# pool_size uint32 words; `generate_state` hashes the pool into a bit
+# generator's seed.  All arithmetic is on uint32 arrays, which wrap.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)
+
+
+def _words(value: object) -> list[int]:
+    """The uint32 words a SeedSequence reads from its entropy or spawn key:
+    an integer (>= 0, as SeedSequence checks) in little-endian 32-bit words,
+    0 as one word, and a sequence word by word."""
+    if isinstance(value, str):
+        raise TypeError(f"lane seeds hash integer entropy only, got the string {value!r}")
+    if isinstance(value, (int, np.integer)):
+        n = int(value)
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    return [w for v in value for w in _words(v)]
+
+
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    """The call-th hashmix of a pool's mixing, whose hash constant is then
+    _INIT_A * _MULT_A**call."""
+    const = _INIT_A * pow(_MULT_A, call, 1 << 32) & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(const * _MULT_A & _MASK32)
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> _SHIFT
+
+
+def _pools(words: list[np.ndarray], size: int) -> np.ndarray:
+    """The pools of `size` words that SeedSequence's `mix_entropy` makes of
+    `words`, at least `size` of them, one uint32 array per word; the arrays
+    broadcast to one row per sequence, and a word shared by all rows is
+    mixed once."""
+    pool = [_hashmix(word, call) for call, word in enumerate(words[:size])]
+    call = size
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    for word in words[size:]:
+        for dst in range(size):
+            pool[dst] = _mix(pool[dst], _hashmix(word, call))
+            call += 1
+    return np.stack(pool, axis=1)
+
+
+def _generate_state(pools: np.ndarray, n_words: int, dtype: object) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, dtype) of each row of `pools`."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.uint32, np.uint64):
+        raise ValueError("only support uint32 or uint64")
+    n32 = n_words * (dtype.itemsize // 4)
+    consts = [_INIT_B]
+    for _ in range(n32):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    hash_const = np.array(consts, dtype=np.uint32)
+    # row r's words cycle through pool r; a row of the result is contiguous
+    state = (np.ascontiguousarray(pools[:, np.arange(n32) % pools.shape[1]]) ^ hash_const[:-1]) * hash_const[1:]
+    state ^= state >> _SHIFT
+    # uint64 words are the little-endian pairs of uint32 words
+    return state.astype("<u4").view("<u8").astype(dtype) if dtype == np.uint64 else state
+
+
+class _LaneSeed:
+    """The seed of one lane stream: it stands for SeedSequence(entropy,
+    spawn_key=spawn_key) of its parent's pool size, and `generate_state`
+    returns the stream's row of its chunk's hashed states.  `_lane_seeds`
+    registers it as a numpy ISeedSequence, which bit generators take as
+    their seed."""
+
+    __slots__ = ("entropy", "spawn_key", "_states", "_row")
+
+    def __init__(self, entropy: object, spawn_key: tuple, states: Callable[[int, object], np.ndarray], row: int):
+        self.entropy = entropy
+        self.spawn_key = spawn_key
+        self._states = states
+        self._row = row
+
+    def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
+        return self._states(n_words, dtype)[self._row]
+
+
+def _lane_seeds(seq: np.random.SeedSequence, n: int) -> list[tuple[_LaneSeed, _LaneSeed, _LaneSeed]]:
+    """Spawn n children of `seq`, as `Generator.spawn(n)` does, and return
+    the seeds of each child's `spawn(3)`, one triple per child, without
+    building those 3n sequences: their spawn keys, seq.spawn_key + (i, j),
+    share all words but the last two, and the pools and states of all 3n
+    are hashed in one pass, bit-equal to numpy's.  The states are made for
+    the (n_words, dtype) that the bit generators ask for, at their first
+    request.
+
+    Refuses, before spawning, a `seq` that is not exactly a numpy
+    SeedSequence or has a string in its entropy (TypeError), and children
+    up to index 2**32 - 1 or past
+    (ValueError): numpy keeps the count of children in a uint32, and spawns
+    without end to reach 2**32.  Each child index is therefore one key
+    word."""
+    if type(seq) is not np.random.SeedSequence:
+        raise TypeError(f"lane seeds hash numpy.random.SeedSequence keys only, got {type(seq).__name__}")
+    first = seq.n_children_spawned
+    if first + n > _MASK32:
+        raise ValueError(
+            f"{n} lanes would take the seed sequence's count of children from {first} to {first + n}, past 2**32 - 1"
+        )
+    size = seq.pool_size
+    run = _words(seq.entropy)
+    # a sequence with a spawn key pads its entropy with zeros to the pool
+    shared = run + [0] * (size - len(run)) + _words(seq.spawn_key)
+    seq.spawn(n)
+    # registered here, not at import: importing numpy.random before the
+    # rest of the program's objects raised converge's peak RSS by 0.5 MB
+    np.random.bit_generator.ISeedSequence.register(_LaneSeed)
+    words = [np.array([w], dtype=np.uint32) for w in shared]
+    words += [np.arange(first, first + n, dtype=np.uint32).repeat(3), np.tile(np.arange(3, dtype=np.uint32), n)]
+    states = cache(partial(_generate_state, _pools(words, size)))
+    return [
+        tuple(_LaneSeed(seq.entropy, (*seq.spawn_key, first + i, j), states, 3 * i + j) for j in range(3))
+        for i in range(n)
+    ]
 
 
 def window_integrals(log: EventLog, a: float, b: float) -> tuple[int, float, float]:

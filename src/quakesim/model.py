@@ -31,8 +31,9 @@ has a default.  Each variant class carries its own formulas:
          density_floor()       (z1, z2, h), density >= h on [z1, z2]; None
                                without an absolutely continuous part
 
-`phi_eval`, `cumulative_hazard_primary` and the primary-clock inversions
-below are thin calls into these methods.
+`phi_eval`, `cumulative_hazard_primary` and the batch primary-clock
+inversion below are thin calls into these methods; the scalar primary wait
+is `phi.invert` itself.
 
 The wait from a state (x, y) is the minimum of two independent clocks, and
 this module holds the formulas of both (the draw order of one transition is
@@ -86,7 +87,6 @@ __all__ = [
     "phi_eval",
     "intensity_saturated",
     "cumulative_hazard_primary",
-    "primary_time_from_exponential",
     "secondary_time_from_uniform",
     "sample_primary_times",
     "primary_times_from_exponentials",
@@ -181,6 +181,8 @@ class ExponentialPhi:
         return out
 
     def invert(self, x: float, c: float, e: float) -> float:
+        """T = log(1 + s*c*e*exp(-s*x)) / (s*c), in log space where
+        exp(-s*x) would overflow."""
         s = self.scale
         sc = s * c
         if e <= 0.0:
@@ -511,18 +513,6 @@ def cumulative_hazard_primary(phi: PhiSpec, x, c: float, t) -> float | np.ndarra
 
 
 # --- the two clocks ---------------------------------------------------------
-
-
-def primary_time_from_exponential(phi: PhiSpec, x: float, c: float, e: float) -> float:
-    """Solve (cumulative primary hazard from x)(T) = e for T, scalar
-    (`phi.invert`, which floors e <= 0 to the smallest positive float).
-
-    Exponential phi:  T = log(1 + s*c*e*exp(-s*x)) / (s*c), evaluated in
-    log space when exp(-s*x) would overflow.  Threshold-linear phi: the
-    hazard ramp gives a linear-plus-quadratic equation; below the
-    threshold the hazard is zero until the ramp reaches it.
-    """
-    return phi.invert(x, c, e)
 
 
 def secondary_time_from_uniform(y: float, alpha: float, u: float) -> float:

@@ -19,6 +19,13 @@ library callers: `master(s)` has the empty spawn key, so a trajectory
 simulated on it reads the keys (0,), (1,) and (2,), which are the roots of
 `substream(s, 0)`, `substream(s, 1)` and `substream(s, 2)`: a run on
 `master(s)` is not independent of runs on those substreams.
+
+The lockstep lanes of `chain.simulate_states` read the same keys: lane i
+of `simulate_states(..., rng, n)` reads the three streams of child i of
+`rng.spawn(n)`.  They do not build those 3n seed sequences: numpy's
+SeedSequence hash is a fixed integer algorithm (NEP 19), and the lanes
+compute the seed state of all 3n keys in one numpy pass, bit-equal to
+numpy's own.
 """
 
 from __future__ import annotations

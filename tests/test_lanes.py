@@ -5,7 +5,9 @@ trajectory `simulate(params, initial, StopRule(horizon=horizon),
 rng.spawn(n)[i])`, read at `times` as `state_at` reads it.  numpy's exp and
 log may differ from `math`'s in the last bit, so the law is checked by lane
 replay: every lane matches that scalar oracle to 1e-12, and stops early at
-the same step for the same reason.
+the same step for the same reason.  The lanes' stream seeds are hashed in
+one pass; they are checked bit for bit against numpy's `spawn` and
+`generate_state`.
 """
 
 import math
@@ -32,6 +34,7 @@ from quakesim import (
     simulate,
     simulate_states,
     state_at,
+    substream,
 )
 
 _PHIS = st.one_of(
@@ -206,3 +209,95 @@ def test_a_state_out_of_the_float_range_raises_as_simulate_does(origin):
 def test_refusals(ref_params, origin, times, horizon):
     with pytest.raises(ValueError):
         simulate_states(ref_params, origin, times, horizon, master(1), 3)
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
+# the (n_words, dtype) that each of _BIT_GENERATORS asks of its seed
+_STATE_REQUESTS = [(4, np.uint64), (2, np.uint64), (3, np.uint64), (624, np.uint32)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entropy=st.one_of(
+        st.sampled_from([0, 2**64 - 1]),
+        st.integers(2**64, 2**200),
+        st.lists(st.integers(0, 2**70), max_size=6),
+    ),
+    spawn_key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+    pool_size=st.sampled_from([4, 8]),
+    first=st.one_of(st.integers(0, 1000), st.integers(2**32 - 100, 2**32 - 6)),
+    n=st.integers(1, 5),
+)
+def test_lane_seeds_are_numpys_spawned_seeds(entropy, spawn_key, pool_size, first, n):
+    # first + n stays below 2**32: numpy's spawn count is a uint32
+    seq, twin = (
+        np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size, n_children_spawned=first)
+        for _ in range(2)
+    )
+    lanes = quakesim.chain._lane_seeds(seq, n)
+    want = [child.spawn(3) for child in twin.spawn(n)]
+    assert seq.n_children_spawned == twin.n_children_spawned == first + n
+    assert len(lanes) == n
+    for lane, children in zip(lanes, want):
+        for seed, child in zip(lane, children, strict=True):
+            assert (seed.entropy, seed.spawn_key) == (child.entropy, child.spawn_key)
+            for n_words, dtype in _STATE_REQUESTS:
+                got = seed.generate_state(n_words, dtype)
+                assert got.dtype == dtype and got.tobytes() == child.generate_state(n_words, dtype).tobytes()
+            for bits in _BIT_GENERATORS:
+                assert bits(seed).random_raw(3).tolist() == bits(child).random_raw(3).tolist()
+
+
+@pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937], ids=["SFC64", "MT19937"])
+def test_lanes_replay_simulate_on_other_bit_generators(ref_params, origin, bits):
+    # the lanes' streams are of the generator's own bit generator type
+    times = [1.0, 10.0]
+    got = simulate_states(ref_params, origin, times, 10.0, np.random.Generator(bits(31)), 7)
+    assert_replays(got, scalar_lanes(ref_params, origin, times, 10.0, np.random.Generator(bits(31)), 7))
+
+
+def test_lanes_advance_the_spawn_count_as_spawn_does(ref_params, origin, monkeypatch):
+    # three chunks of four lanes, the last one short
+    monkeypatch.setattr(quakesim.chain, "_LANES", 4)
+    rng = substream(6, 2)
+    simulate_states(ref_params, origin, [1.0], 1.0, rng, 10)
+    assert rng.spawn(1)[0].bit_generator.seed_seq.spawn_key == (2, 10)
+
+
+def test_lanes_at_the_last_spawn_count_numpy_holds(ref_params, origin):
+    # children 2**32 - 3 and 2**32 - 2 bring the uint32 count to 2**32 - 1
+    seed = lambda: np.random.Generator(np.random.PCG64(np.random.SeedSequence(4, n_children_spawned=2**32 - 3)))
+    got = simulate_states(ref_params, origin, [2.0], 2.0, seed(), 2)
+    assert_replays(got, scalar_lanes(ref_params, origin, [2.0], 2.0, seed(), 2))
+
+
+class _Subclassed(np.random.SeedSequence):
+    pass
+
+
+@pytest.mark.parametrize(
+    "seq, lanes, error, message",
+    [
+        (_Subclassed(5), 3, TypeError, "lane seeds hash numpy.random.SeedSequence keys only, got _Subclassed"),
+        (
+            np.random.SeedSequence(["0x10", 3]),
+            3,
+            TypeError,
+            "lane seeds hash integer entropy only, got the string '0x10'",
+        ),
+        # the third child would take the count to 2**32, which numpy's spawn
+        # cannot hold: it is refused before anything spawns
+        (
+            np.random.SeedSequence(5, n_children_spawned=2**32 - 3),
+            3,
+            ValueError,
+            r"3 lanes would take the seed sequence's count of children from 4294967293 to 4294967296, past 2\*\*32 - 1",
+        ),
+    ],
+    ids=["subclass", "string-entropy", "count-past-uint32"],
+)
+def test_refusals_of_seeds_the_hash_cannot_match(ref_params, origin, seq, lanes, error, message):
+    count = seq.n_children_spawned
+    with pytest.raises(error, match=message):
+        simulate_states(ref_params, origin, [1.0], 1.0, np.random.Generator(np.random.PCG64(seq)), lanes)
+    assert seq.n_children_spawned == count

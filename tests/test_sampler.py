@@ -25,7 +25,6 @@ from quakesim import (
 from quakesim.model import (
     expected_wait,
     primary_survival,
-    primary_time_from_exponential,
     primary_times_from_exponentials,
     secondary_survival,
     secondary_time_from_uniform,
@@ -54,7 +53,7 @@ class TestPrimaryInversion:
         # bisection on the quadrature hazard confirms T = 1 at e = e - 1
         oracle = _root_find_primary(ExponentialPhi(1.0), 0.0, 1.0, math.e - 1.0)
         assert oracle == pytest.approx(1.0, abs=1e-9)
-        t = primary_time_from_exponential(ExponentialPhi(1.0), 0.0, 1.0, math.e - 1.0)
+        t = ExponentialPhi(1.0).invert(0.0, 1.0, math.e - 1.0)
         assert t == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -70,7 +69,7 @@ class TestPrimaryInversion:
     )
     def test_inversion_matches_root_find(self, phi, x, c):
         for e in (0.05, 0.7, 3.1):
-            t = primary_time_from_exponential(phi, x, c, e)
+            t = phi.invert(x, c, e)
             oracle = _root_find_primary(phi, x, c, e)
             assert t == pytest.approx(oracle, rel=1e-7, abs=1e-9)
 
@@ -78,16 +77,16 @@ class TestPrimaryInversion:
         for phi in (ExponentialPhi(1.0), ThresholdLinearPhi(0.0, 1.0)):
             prev = math.inf
             for e in (1e-2, 1e-4, 1e-8, 1e-12):
-                t = primary_time_from_exponential(phi, 0.5, 1.0, e)
+                t = phi.invert(0.5, 1.0, e)
                 assert 0.0 < t < prev
                 prev = t
 
     def test_extreme_stress_levels(self):
         # very negative stress: wait is dominated by the ramp-back time
-        t = primary_time_from_exponential(ExponentialPhi(1.0), -1e6, 2.0, 1.0)
+        t = ExponentialPhi(1.0).invert(-1e6, 2.0, 1.0)
         assert t == pytest.approx(5e5, rel=1e-3)
         # very positive stress: wait is tiny but positive
-        t = primary_time_from_exponential(ExponentialPhi(1.0), 700.0, 1.0, 1.0)
+        t = ExponentialPhi(1.0).invert(700.0, 1.0, 1.0)
         assert 0.0 < t < 1e-300
 
     def test_survival_example(self):
@@ -106,7 +105,7 @@ class TestPrimaryInversion:
             (ThresholdLinearPhi(0.2, 2.0), 3.0, 0.5),
         ]:
             vec = primary_times_from_exponentials(phi, x, c, es)
-            scal = np.array([primary_time_from_exponential(phi, x, c, float(e)) for e in es])
+            scal = np.array([phi.invert(x, c, float(e)) for e in es])
             np.testing.assert_allclose(vec, scal, rtol=1e-12)
 
     def test_validation(self):
@@ -152,7 +151,7 @@ class TestZeroDrawFloor:
     def test_scalar_and_batch_waits_at_zero(self, phi, c, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t = primary_time_from_exponential(phi, x, c, 0.0)
+            t = phi.invert(x, c, 0.0)
             batch = primary_times_from_exponentials(phi, np.array([x, x]), c, np.array([0.0, -1.0]))
         assert 0.0 < t < math.inf
         assert batch.tolist() == [t, t]
@@ -173,7 +172,7 @@ class TestZeroDrawFloor:
     def test_exponential_floor_is_the_wait_at_5e_324(self):
         # s*c*5e-324 rounds to 0, so the wait comes from log(s*c) + log(e):
         # about e*exp(-s*x)/(s*c) deep below zero stress
-        t = primary_time_from_exponential(ExponentialPhi(0.3), -1000.0, 1.0, 0.0)
+        t = ExponentialPhi(0.3).invert(-1000.0, 1.0, 0.0)
         assert t == pytest.approx(5e-324 * math.exp(300.0) / 0.3, rel=1e-12)
 
 
@@ -196,7 +195,7 @@ class TestHazardRoundTrip:
     def test_hazard_of_inverted_wait_is_e(self, phi, u, c, e):
         top = 700.0 / phi.scale if isinstance(phi, ExponentialPhi) else 700.0
         x = -1e3 + u * (top + 1e3)
-        t = primary_time_from_exponential(phi, x, c, e)
+        t = phi.invert(x, c, e)
         assert cumulative_hazard_primary(phi, x, c, t) == pytest.approx(e, rel=1e-6)
 
     @settings(max_examples=300, deadline=None)
@@ -204,7 +203,7 @@ class TestHazardRoundTrip:
     def test_deep_stress_stays_finite(self, phi, x, c, e):
         # beyond |x| ~ 1e6 the float T cannot resolve x + c*T, so only
         # finiteness and scalar/array agreement are asked for here
-        t = primary_time_from_exponential(phi, x, c, e)
+        t = phi.invert(x, c, e)
         assert 0.0 < t < math.inf
         assert not math.isnan(cumulative_hazard_primary(phi, x, c, t))
         vec = primary_times_from_exponentials(phi, x, c, np.array([e]))
@@ -304,7 +303,7 @@ class TestArraysOfStates:
     def test_primary_waits_of_an_array_of_stresses(self, phi, c, pairs):
         x, e = (np.array(column) for column in zip(*pairs))
         got = primary_times_from_exponentials(phi, x, c, e)
-        want = [primary_time_from_exponential(phi, xi, c, ei) for xi, ei in pairs]
+        want = [phi.invert(xi, c, ei) for xi, ei in pairs]
         assert got.tolist() == pytest.approx(want, rel=1e-12, abs=self._SUBNORMAL)
 
     @settings(max_examples=300, deadline=None)
